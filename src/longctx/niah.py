@@ -294,8 +294,19 @@ class ApiShape:
 
     @classmethod
     def from_file(cls, path) -> "ApiShape":
+        """Read a shape from JSON; ValueError on unknown keys or wrongly typed values."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"API shape {path} must be a JSON object")
+        defaults = vars(cls())
+        unknown = sorted(set(doc) - set(defaults))
+        if unknown:
+            raise ValueError(f"API shape {path} has unknown keys {unknown}; known: {sorted(defaults)}")
+        for key, value in doc.items():
+            if not isinstance(value, type(defaults[key])):
+                kind = "an object" if isinstance(defaults[key], dict) else "a string"
+                raise ValueError(f"API shape {path}: {key} must be {kind}, got {value!r}")
         return cls(**doc)
 
     def extract_text(self, payload) -> str:
@@ -404,6 +415,10 @@ def run_grid(
     depths = tuple(float(x) for x in depths)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # grid_csv keys cells by (length, depth), so a repeated value would hide a column or row.
+    for name, values in (("lengths", lengths), ("depths", depths)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must not repeat a value, got {list(values)}")
 
     tasks = []
     for li, length in enumerate(lengths):

@@ -349,25 +349,39 @@ def _require(doc: dict, key: str, ctx: str):
     return doc[key]
 
 
+def _as_list(value, ctx: str) -> list:
+    if not isinstance(value, list):
+        raise ManifestError(f"{ctx} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _as_object(value, ctx: str) -> dict:
+    if not isinstance(value, dict):
+        raise ManifestError(f"{ctx} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_manifest(text: str) -> RecipeManifest:
     """Parse canonical JSON back into a manifest, enforcing all invariants."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ManifestError("manifest must be a JSON object")
+    _as_object(doc, "manifest")
 
     schema = _require(doc, "schema", "manifest")
     if schema != SCHEMA_VERSION:
         raise ManifestError(f"unsupported schema version {schema!r}, expected {SCHEMA_VERSION}")
 
     phases = []
-    for i, pdoc in enumerate(_require(doc, "phases", "manifest")):
+    for i, pdoc in enumerate(_as_list(_require(doc, "phases", "manifest"), "manifest.phases")):
         ctx = f"phases[{i}]"
+        pdoc = _as_object(pdoc, ctx)
+        spec_ctx = f"{ctx}.sequence_spec"
+        edocs = _as_list(_require(pdoc, "sequence_spec", ctx), spec_ctx)
         entries = tuple(
             SequenceSpec(
-                seq_len=int(_require(edoc, "seq_len", f"{ctx}.sequence_spec")),
+                seq_len=int(_require(edoc, "seq_len", spec_ctx)),
                 seq_len_max=None if edoc.get("seq_len_max") is None else int(edoc["seq_len_max"]),
                 sequence_count=None
                 if edoc.get("sequence_count") is None
@@ -376,7 +390,7 @@ def load_manifest(text: str) -> RecipeManifest:
                 if edoc.get("token_subtotal") is None
                 else int(edoc["token_subtotal"]),
             )
-            for edoc in _require(pdoc, "sequence_spec", ctx)
+            for edoc in (_as_object(e, f"{spec_ctx}[{j}]") for j, e in enumerate(edocs))
         )
         phases.append(
             PhasePlan(
@@ -386,7 +400,7 @@ def load_manifest(text: str) -> RecipeManifest:
                 token_budget=int(_require(pdoc, "token_budget", ctx)),
                 rope_theta=float(_require(pdoc, "rope_theta", ctx)),
                 sequence_spec=entries,
-                mix={str(k): float(v) for k, v in pdoc.get("mix", {}).items()},
+                mix={str(k): float(v) for k, v in _as_object(pdoc.get("mix", {}), f"{ctx}.mix").items()},
                 checkpoint=pdoc.get("checkpoint"),
                 subtotal_tolerance=float(pdoc.get("subtotal_tolerance", DEFAULT_SUBTOTAL_TOLERANCE)),
             )
@@ -395,7 +409,7 @@ def load_manifest(text: str) -> RecipeManifest:
     manifest = RecipeManifest(
         base_model=str(_require(doc, "base_model", "manifest")),
         phases=tuple(phases),
-        notes=tuple(str(n) for n in doc.get("notes", [])),
+        notes=tuple(str(n) for n in _as_list(doc.get("notes", []), "manifest.notes")),
         schema=int(schema),
     )
     problems = validate(manifest)

@@ -98,6 +98,17 @@ class TestRingsim:
         assert code == 1
         check_schema("error", json.loads(captured.err))
 
+    def test_empty_sequence_is_domain_error(self, capsys):
+        code = dispatch(
+            ["--no-timestamp", "ringsim", "--seq-len", "0", "--devices", "1",
+             "--q-chunk", "1", "--kv-chunk", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)
+        check_schema("error", error)
+        assert error["error"]["message"] == "seq_len must be >= 1, got 0"
+
 
 class TestMemplan:
     def test_reference_configuration(self, capsys):
@@ -203,6 +214,18 @@ class TestNiah:
         assert lines[0] == "haystack_tokens,depth_0,depth_100"
         assert lines[1] == "600,1.000000,1.000000"
 
+    def test_unknown_api_shape_key_is_domain_error(self, capsys, tmp_path):
+        # The shape file is read before a client exists, so nothing is sent.
+        shape = tmp_path / "shape.json"
+        shape.write_text(json.dumps({"text_path": "text", "bogus_key": 1}))
+        code = dispatch(
+            ["--no-timestamp", "niah-grid", "--lengths", "600", "--depths", "50",
+             "--endpoint", "http://127.0.0.1:9/complete", "--api-shape", str(shape)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        check_schema("error", json.loads(captured.err))
+
     def test_grid_without_endpoint_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("LONGCTX_ENDPOINT", raising=False)
         with pytest.raises(SystemExit) as excinfo:
@@ -235,6 +258,14 @@ class TestRecipe:
         path.write_text(json.dumps(broken), encoding="utf-8")
         doc = run_json(capsys, "recipe", "validate", "--file", str(path))
         assert doc["ok"] is False
+
+    def test_phases_not_a_list_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"schema": 1, "base_model": "x", "phases": 7}))
+        code = dispatch(["--no-timestamp", "recipe", "show", "--file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        check_schema("error", json.loads(captured.err))
 
     def test_round_trip_through_file(self, capsys, tmp_path):
         path = tmp_path / "manifest.json"

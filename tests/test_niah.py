@@ -254,6 +254,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             run_grid([600], [0], 0, EchoStub())
 
+    @pytest.mark.parametrize("lengths, depths", [([600, 600], [0]), ([600], [50, 50.0])])
+    def test_rejects_repeated_lengths_or_depths(self, lengths, depths):
+        with pytest.raises(ValueError, match="must not repeat"):
+            run_grid(lengths, depths, 1, EchoStub())
+
 
 class _Endpoint(BaseHTTPRequestHandler):
     """Test completion endpoint implementing the default wire shape."""
@@ -318,6 +323,26 @@ class TestHttpClient:
         client = HttpCompletionClient(endpoint)
         with pytest.raises(ClientError):
             client.complete("hello")
+
+    def test_shape_file_round_trip(self, tmp_path):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps({"text_path": "choices.0.text", "extra_body": {"model": "m"}}))
+        assert ApiShape.from_file(path) == ApiShape(text_path="choices.0.text", extra_body={"model": "m"})
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ({"text_path": "text", "bogus_key": 1}, "unknown keys"),
+            ({"text_path": 3}, "text_path must be a string"),
+            ({"extra_body": []}, "extra_body must be an object"),
+            ([], "must be a JSON object"),
+        ],
+    )
+    def test_bad_shape_file_raises_value_error(self, tmp_path, doc, match):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            ApiShape.from_file(path)
 
     def test_unreachable_endpoint_raises_client_error(self):
         client = HttpCompletionClient("http://127.0.0.1:9/", timeout=0.2)

@@ -173,6 +173,26 @@ class TestSerialization:
         with pytest.raises(ManifestError, match="schema"):
             load_manifest(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            ((), 7, "manifest.phases must be a JSON list"),
+            ((0,), "phase", r"phases\[0\] must be a JSON object"),
+            ((0, "sequence_spec"), {}, r"phases\[0\].sequence_spec must be a JSON list"),
+            ((0, "sequence_spec", 0), 3, r"phases\[0\].sequence_spec\[0\] must be a JSON object"),
+            ((0, "mix"), [], r"phases\[0\].mix must be a JSON object"),
+        ],
+    )
+    def test_load_wrongly_typed_structure_fails(self, path, value, match):
+        doc = json.loads(emit_manifest(megabeam_recipe()))
+        *parents, last = ("phases", *path)
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(ManifestError, match=match):
+            load_manifest(json.dumps(doc))
+
     def test_load_enforces_invariants(self):
         doc = json.loads(emit_manifest(megabeam_recipe()))
         doc["phases"][0]["mix"] = {"source_code": 0.5}

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from longctx.ringsim import (
     AttentionProblem,
     RingMesh,
+    _classify_blocks,
     attention_weights,
     blockwise_attention,
     dosp_limits,
@@ -81,6 +82,14 @@ class TestProblemValidation:
             AttentionProblem(
                 q=np.zeros((2, 2)), k=np.zeros((2, 2)), v=np.zeros((2, 2)),
                 segment_ids=np.array([-1, 0]),
+            )
+
+    @pytest.mark.parametrize("shape", [(0, 2), (4, 0)])
+    def test_empty_dimension_rejected(self, shape):
+        with pytest.raises(ValueError, match="S >= 1 rows and d >= 1 columns"):
+            AttentionProblem(
+                q=np.zeros(shape), k=np.zeros(shape), v=np.zeros(shape),
+                segment_ids=np.zeros(shape[0], dtype=int),
             )
 
     def test_default_scale(self):
@@ -229,6 +238,64 @@ class TestRing:
             ring_attention(p, RingMesh(4, 3, 4))  # 3 does not divide 8
         with pytest.raises(ValueError):
             ring_attention(p, RingMesh(0, 1, 1))
+
+
+@st.composite
+def ring_layouts(draw):
+    """Segment ids (gaps allowed), a dividing mesh and the causal flag."""
+    P = draw(st.integers(1, 4))
+    per_device = draw(st.integers(1, 12))
+    S = P * per_device
+    divisors = [c for c in range(1, per_device + 1) if per_device % c == 0]
+    mesh = RingMesh(P, draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors)))
+    steps = draw(st.lists(st.integers(0, 2), min_size=S - 1, max_size=S - 1))
+    return np.concatenate([[0], np.cumsum(steps, dtype=np.int64)]), mesh, draw(st.booleans())
+
+
+class TestBlockClassification:
+    @given(ring_layouts())
+    def test_kinds_match_pairwise_legality(self, layout):
+        segment_ids, mesh, causal = layout
+        S, qc, kc = segment_ids.size, mesh.query_chunk, mesh.kv_chunk
+        rng = np.random.default_rng(S)
+        p = AttentionProblem(
+            q=rng.standard_normal((S, 3)), k=rng.standard_normal((S, 3)),
+            v=rng.standard_normal((S, 3)), segment_ids=segment_ids, causal=causal,
+        )
+        legal = np.array([
+            [segment_ids[i] == segment_ids[j] and (j <= i or not causal) for j in range(S)]
+            for i in range(S)
+        ])
+        blocks = legal.reshape(S // qc, qc, S // kc, kc).transpose(0, 2, 1, 3)
+        live, full = _classify_blocks(p, qc, kc)
+        assert np.array_equal(live, blocks.any(axis=(2, 3)))  # empty <=> no legal pair
+        assert np.array_equal(full, blocks.all(axis=(2, 3)))  # full <=> every pair legal
+
+        out, trace = ring_attention(p, mesh)
+        nq, nkv = S // mesh.device_count // qc, S // mesh.device_count // kc
+        assert trace.blocks_visited + trace.blocks_skipped == mesh.device_count**2 * nq * nkv
+        assert trace.blocks_visited == np.count_nonzero(live)
+        assert trace.blocks_full == np.count_nonzero(full)
+        assert max_rel_error(out, exact_attention(p)) < 1e-6
+
+    def test_packed_causal_ring_counts(self):
+        # Two 8-token documents in 2-token chunks: each document's 4 x 4
+        # chunk grid has 10 live blocks on and below the diagonal, of which
+        # the 6 strictly below need no mask; the other 44 blocks are empty.
+        p = two_segment_problem(16, 4, seed=17)
+        out, trace = ring_attention(p, RingMesh(4, 2, 2))
+        assert (trace.blocks_visited, trace.blocks_full, trace.blocks_skipped) == (20, 12, 44)
+        assert max_rel_error(out, exact_attention(p)) < 1e-6
+
+
+class TestSeqLenBound:
+    def test_mesh_rejects_empty_sequence(self):
+        with pytest.raises(ValueError, match="seq_len must be >= 1"):
+            RingMesh(1, 1, 1).validate_for(0)
+
+    def test_random_problem_rejects_empty_sequence(self):
+        with pytest.raises(ValueError, match="seq_len must be >= 1"):
+            random_problem(0, 4, np.random.default_rng(0))
 
 
 class TestDospLimits:
