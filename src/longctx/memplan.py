@@ -21,6 +21,8 @@ Byte counts are exact Python integers throughout.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -130,16 +132,16 @@ class SearchConstraints:
 
 
 def _candidate_chunks(per_device: int, lo: int, hi: int | None, power_of_two: bool) -> list[int]:
-    sizes = []
-    for size in range(lo, per_device + 1):
-        if per_device % size != 0:
-            continue
-        if hi is not None and size > hi:
-            continue
-        if power_of_two and size & (size - 1) != 0:
-            continue
-        sizes.append(size)
-    return sizes
+    """Divisors of per_device within [lo, hi], ascending, by trial division to its square root."""
+    small = [d for d in range(1, math.isqrt(per_device) + 1) if per_device % d == 0]
+    divisors = small + [per_device // d for d in reversed(small) if d * d != per_device]
+    return [
+        size
+        for size in divisors
+        if size >= lo
+        and (hi is None or size <= hi)
+        and not (power_of_two and size & (size - 1))
+    ]
 
 
 def search_chunk_plan(
@@ -152,21 +154,36 @@ def search_chunk_plan(
 
     Candidates are ordered by (q_chunk, kv_chunk) ascending and the first
     fit wins: smaller chunks mean smaller per-step working sets, so the
-    search grows them only as far as the table forces.
+    search grows them only as far as the table forces. Candidates are the
+    divisors of the per-device length, found in O(sqrt(n)) steps. Table
+    bytes fall as kv_chunk grows, so for each q_chunk a bisection over the
+    kv_chunk candidates finds the smallest one that fits.
     """
     if budget_bytes <= 0:
         raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
+    if devices < 1 or seq_len < 1:
+        raise ValueError(f"devices and seq_len must be positive, got {devices} and {seq_len}")
     if seq_len % devices != 0:
         raise ValueError(f"devices {devices} must divide seq_len {seq_len}")
-    per_device = seq_len // devices
     c = constraints
+    if c.min_q_chunk < 1 or c.min_kv_chunk < 1:
+        raise ValueError(
+            f"minimum chunk sizes must be positive, got {c.min_q_chunk} and {c.min_kv_chunk}"
+        )
+    per_device = seq_len // devices
     q_sizes = _candidate_chunks(per_device, c.min_q_chunk, c.max_q_chunk, c.power_of_two)
     kv_sizes = _candidate_chunks(per_device, c.min_kv_chunk, c.max_kv_chunk, c.power_of_two)
+
+    def plan(cq: int, ckv: int) -> ChunkPlan:
+        return ChunkPlan(devices=devices, seq_len=seq_len, q_chunk=cq, kv_chunk=ckv)
+
     for cq in q_sizes:
-        for ckv in kv_sizes:
-            plan = ChunkPlan(devices=devices, seq_len=seq_len, q_chunk=cq, kv_chunk=ckv)
-            if lookup_table_bytes(plan) <= budget_bytes:
-                return plan
+        # Bytes fall as kv_chunk grows, so "fits" is False then True along kv_sizes.
+        first_fit = bisect.bisect_left(
+            kv_sizes, True, key=lambda ckv: lookup_table_bytes(plan(cq, ckv)) <= budget_bytes
+        )
+        if first_fit < len(kv_sizes):
+            return plan(cq, kv_sizes[first_fit])
     return None
 
 

@@ -139,6 +139,12 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
     goes in at the sentence boundary nearest depth_percent: 0 means first
     sentence, 100 means last. Depth does not influence the filler draw, so
     the same seed yields the same haystack at every depth.
+
+    Picks are drawn in blocks; the generator's stream is the same as one
+    draw per sentence, and a sequential cumulative sum from the running
+    total reproduces the one-at-a-time float sums bit for bit. Without a
+    tokenizer the estimate is the word count of the parts times
+    TOKENS_PER_WORD, which equals splitting the joined document.
     """
     needle = case.needle_template.format(payload=case.needle_payload)
     needle_cost = estimate_tokens(needle, tokenizer)
@@ -150,21 +156,34 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
         )
 
     pool = filler_sentences()
-    costs = [estimate_tokens(s, tokenizer) for s in pool]
+    costs = np.array([estimate_tokens(s, tokenizer) for s in pool])
+    if not (costs > 0).any():
+        raise ValueError("no filler sentence has a positive token cost, so the haystack cannot grow")
+    mean_cost = costs[costs > 0].mean()
     budget = case.haystack_tokens - needle_cost
 
     rng = np.random.default_rng(case.seed)
-    chosen: list[str] = []
+    picks: list[np.ndarray] = []
     total = 0.0
     while True:
-        pick = int(rng.integers(0, len(pool)))
-        if total + costs[pick] > budget:
+        # Enough draws to reach the budget at the mean cost, plus slack.
+        block = rng.integers(0, len(pool), size=64 + int((budget - total) / mean_cost))
+        running = np.cumsum(np.concatenate(([total], costs[block])))
+        over = np.flatnonzero(running[1:] > budget)
+        if over.size:
             break
-        chosen.append(pool[pick])
-        total += costs[pick]
+        picks.append(block)
+        total = float(running[-1])
+    stop = int(over[0])
+    picks.append(block[:stop])
+    total = float(running[stop])
+    # The padding sentence is the next draw in the stream.
+    spare_pick = block[stop + 1] if stop + 1 < block.size else rng.integers(0, len(pool))
+    drawn = np.concatenate(picks)
+    chosen = [pool[i] for i in drawn.tolist()]
 
-    # Pad word by word from one more draw until within 2% under budget.
-    spare = pool[int(rng.integers(0, len(pool)))].rstrip(".").split()
+    # Pad word by word from the spare sentence until within 2% under budget.
+    spare = pool[int(spare_pick)].rstrip(".").split()
     pad: list[str] = []
     for word in spare:
         if total >= 0.98 * budget:
@@ -178,11 +197,16 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
         chosen.append(" ".join(pad) + ".")
 
     insert_at = min(len(chosen), round(case.depth_percent / 100.0 * len(chosen)))
-    parts = chosen[:insert_at] + [needle] + chosen[insert_at:]
-    document = " ".join(parts)
-    offset = len(" ".join(chosen[:insert_at]))
-    if insert_at > 0:
-        offset += 1  # separating space before the needle sentence
+    document = " ".join(chosen[:insert_at] + [needle] + chosen[insert_at:])
+    # Each sentence before the needle is followed by one separating space.
+    offset = sum(map(len, chosen[:insert_at])) + insert_at
+    if tokenizer is None:
+        # str.split is additive over " ".join, so this is len(document.split()).
+        pool_words = np.array([len(sentence.split()) for sentence in pool])
+        words = int(pool_words[drawn].sum()) + len(pad) + len(needle.split())
+        estimated = words * TOKENS_PER_WORD
+    else:
+        estimated = estimate_tokens(document, tokenizer)
     return GeneratedCase(
         case=case,
         document=document,
@@ -190,7 +214,7 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
         expected=case.needle_payload,
         needle_sentence_index=insert_at,
         needle_char_offset=offset,
-        estimated_tokens=estimate_tokens(document, tokenizer),
+        estimated_tokens=estimated,
     )
 
 

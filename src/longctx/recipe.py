@@ -361,6 +361,37 @@ def _as_object(value, ctx: str) -> dict:
     return value
 
 
+def _as_int(value, ctx: str) -> int:
+    """A JSON integer; like JSON Schema, an integral number such as 1.2e9 counts."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ManifestError(f"{ctx} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _as_number(value, ctx: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ManifestError(f"{ctx} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ManifestError(f"{ctx} is beyond the float64 range") from None
+
+
+def _optional_int(doc: dict, key: str, ctx: str) -> int | None:
+    return None if doc.get(key) is None else _as_int(doc[key], f"{ctx}.{key}")
+
+
+def _sequence_spec(edoc: dict, ctx: str) -> SequenceSpec:
+    return SequenceSpec(
+        seq_len=_as_int(_require(edoc, "seq_len", ctx), f"{ctx}.seq_len"),
+        seq_len_max=_optional_int(edoc, "seq_len_max", ctx),
+        sequence_count=_optional_int(edoc, "sequence_count", ctx),
+        token_subtotal=_optional_int(edoc, "token_subtotal", ctx),
+    )
+
+
 def load_manifest(text: str) -> RecipeManifest:
     """Parse canonical JSON back into a manifest, enforcing all invariants."""
     try:
@@ -380,29 +411,24 @@ def load_manifest(text: str) -> RecipeManifest:
         spec_ctx = f"{ctx}.sequence_spec"
         edocs = _as_list(_require(pdoc, "sequence_spec", ctx), spec_ctx)
         entries = tuple(
-            SequenceSpec(
-                seq_len=int(_require(edoc, "seq_len", spec_ctx)),
-                seq_len_max=None if edoc.get("seq_len_max") is None else int(edoc["seq_len_max"]),
-                sequence_count=None
-                if edoc.get("sequence_count") is None
-                else int(edoc["sequence_count"]),
-                token_subtotal=None
-                if edoc.get("token_subtotal") is None
-                else int(edoc["token_subtotal"]),
-            )
-            for edoc in (_as_object(e, f"{spec_ctx}[{j}]") for j, e in enumerate(edocs))
+            _sequence_spec(_as_object(e, f"{spec_ctx}[{j}]"), f"{spec_ctx}[{j}]")
+            for j, e in enumerate(edocs)
         )
+        mix = _as_object(pdoc.get("mix", {}), f"{ctx}.mix")
         phases.append(
             PhasePlan(
-                index=int(_require(pdoc, "index", ctx)),
+                index=_as_int(_require(pdoc, "index", ctx), f"{ctx}.index"),
                 phase_id=str(_require(pdoc, "phase_id", ctx)),
                 purpose=str(_require(pdoc, "purpose", ctx)),
-                token_budget=int(_require(pdoc, "token_budget", ctx)),
-                rope_theta=float(_require(pdoc, "rope_theta", ctx)),
+                token_budget=_as_int(_require(pdoc, "token_budget", ctx), f"{ctx}.token_budget"),
+                rope_theta=_as_number(_require(pdoc, "rope_theta", ctx), f"{ctx}.rope_theta"),
                 sequence_spec=entries,
-                mix={str(k): float(v) for k, v in _as_object(pdoc.get("mix", {}), f"{ctx}.mix").items()},
+                mix={str(k): _as_number(v, f"{ctx}.mix.{k}") for k, v in mix.items()},
                 checkpoint=pdoc.get("checkpoint"),
-                subtotal_tolerance=float(pdoc.get("subtotal_tolerance", DEFAULT_SUBTOTAL_TOLERANCE)),
+                subtotal_tolerance=_as_number(
+                    pdoc.get("subtotal_tolerance", DEFAULT_SUBTOTAL_TOLERANCE),
+                    f"{ctx}.subtotal_tolerance",
+                ),
             )
         )
 

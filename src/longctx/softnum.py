@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 __all__ = [
     "PrecisionMode",
@@ -123,13 +122,26 @@ def quantize_position(position: float, mode: PrecisionMode) -> float:
 def distinct_integer_census(limit: int) -> int:
     """Count distinct 16-bit roundings of the integers 0 .. limit-1.
 
-    Vectorized over uint32 bit patterns; the arithmetic is the same
-    add-and-truncate used by round_to_reduced16.
+    Closed form, O(1) in time and memory. Rounding (to a 32-bit float, then
+    to 16 bits) is monotone, and every integer on the 16-bit grid rounds to
+    itself. Let top = round(limit-1). By monotonicity nothing rounds past
+    top, and a grid integer g below top is one of the positions, since
+    g > limit-1 would give top <= round(g) = g. So the census is the number
+    of grid integers in [0, top]. Every integer up to 256 is on the grid;
+    above 256 the grid values are integers whose bit patterns run
+    consecutively from 0x4380 (256.0). When limit-1 overflows the 32-bit
+    range, top is infinity, the pattern after the largest finite value, and
+    it counts once, as it would in an enumeration.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    positions = np.arange(limit, dtype=np.float64).astype(np.float32)
-    u = positions.view(np.uint32).astype(np.uint64)
-    u += 0x7FFF + ((u >> np.uint64(16)) & np.uint64(1))
-    bf16 = (u >> np.uint64(16)).astype(np.uint16)
-    return int(np.unique(bf16).size)
+    try:
+        last = float(limit - 1)
+    except OverflowError:
+        raise ValueError(
+            f"limit must be at most {sys.float_info.max:.6e}, the float64 range"
+        ) from None
+    top = round_to_reduced16(last)
+    if widen(top) <= 256:
+        return int(widen(top)) + 1
+    return 257 + top.bits - 0x4380

@@ -32,12 +32,26 @@ def check_schema(name, doc):
     jsonschema.validate(doc, schema)
 
 
+def run_domain_error(capsys, *argv):
+    """Exit 1 with nothing on stdout and a schema-valid JSON error on stderr."""
+    code = dispatch(["--no-timestamp", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "", captured.err
+    error = json.loads(captured.err)
+    check_schema("error", error)
+    return error["error"]
+
+
 class TestCensus:
     def test_output_and_schema(self, capsys):
         doc = run_json(capsys, "census", "--limit", "512")
         check_schema("census", doc)
         assert doc["distinct"] == 385
         assert doc["collision_rate"] == pytest.approx(1 - 385 / 512)
+
+    def test_limit_beyond_float64_is_domain_error(self, capsys):
+        error = run_domain_error(capsys, "census", "--limit", str(10**400))
+        assert error["type"] == "ValueError" and "float64" in error["message"]
 
 
 class TestRopePlan:
@@ -150,6 +164,16 @@ class TestMemplan:
         check_schema("memplan-search", doc)
         assert doc["plan"] is None
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--devices", "0"), ("--devices", "-2"), ("--devices", "2", "--min-q-chunk", "0")],
+    )
+    def test_search_nonpositive_sizes_are_domain_errors(self, capsys, flags):
+        error = run_domain_error(
+            capsys, "memplan-search", "--seq-len", "8", "--budget", "10000", *flags
+        )
+        assert error["type"] == "ValueError"
+
     def test_indivisible_chunks_is_domain_error(self, capsys):
         code = dispatch(
             ["--no-timestamp", "memplan", "--devices", "8", "--seq-len", "524288",
@@ -258,6 +282,19 @@ class TestRecipe:
         path.write_text(json.dumps(broken), encoding="utf-8")
         doc = run_json(capsys, "recipe", "validate", "--file", str(path))
         assert doc["ok"] is False
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("token_budget", None), ("index", "1"), ("rope_theta", True), ("mix", {"books": None})],
+    )
+    def test_wrongly_typed_scalar_is_domain_error(self, capsys, tmp_path, field, value):
+        doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        doc["phases"][0][field] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        error = run_domain_error(capsys, "recipe", "show", "--file", str(path))
+        assert error["type"] == "ManifestError"
+        assert f"phases[0].{field}" in error["message"]
 
     def test_phases_not_a_list_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "manifest.json"

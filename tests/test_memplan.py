@@ -94,6 +94,30 @@ class TestMemoryReport:
         assert report.total_bytes == report.lookup_table_bytes + 3 * GIB
 
 
+def brute_force_first_fit(devices, seq_len, budget, constraints):
+    """First fitting (q_chunk, kv_chunk) over every divisor pair, in ascending order."""
+    per_device = seq_len // devices
+    c = constraints
+
+    def allowed(size, lo, hi):
+        return (
+            per_device % size == 0
+            and size >= lo
+            and (hi is None or size <= hi)
+            and not (c.power_of_two and size & (size - 1))
+        )
+
+    for cq in range(1, per_device + 1):
+        if not allowed(cq, c.min_q_chunk, c.max_q_chunk):
+            continue
+        for ckv in range(1, per_device + 1):
+            if not allowed(ckv, c.min_kv_chunk, c.max_kv_chunk):
+                continue
+            if lookup_table_bytes(ChunkPlan(devices, seq_len, cq, ckv)) <= budget:
+                return (cq, ckv)
+    return None
+
+
 class TestSearch:
     def exhaustive_best(self, devices, seq_len, budget, constraints):
         per_device = seq_len // devices
@@ -154,6 +178,43 @@ class TestSearch:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             search_chunk_plan(8, 1024, 0)
+
+    @pytest.mark.parametrize(
+        "devices, seq_len, constraints",
+        [
+            (0, 1024, SearchConstraints()),
+            (-2, 1024, SearchConstraints()),
+            (2, -1024, SearchConstraints()),
+            (2, 1024, SearchConstraints(min_q_chunk=0)),
+            (2, 1024, SearchConstraints(min_kv_chunk=-4)),
+        ],
+    )
+    def test_rejects_nonpositive_sizes(self, devices, seq_len, constraints):
+        with pytest.raises(ValueError, match="positive"):
+            search_chunk_plan(devices, seq_len, 10**9, constraints)
+
+    @given(
+        per_device=st.integers(1, 5040),
+        devices=st.integers(1, 8),
+        budget_position=st.floats(-0.05, 1.05),
+        bounds=st.tuples(
+            st.integers(1, 5041), st.integers(1, 5041),
+            st.none() | st.integers(1, 5040), st.none() | st.integers(1, 5040),
+        ),
+        power_of_two=st.booleans(),
+    )
+    def test_equals_brute_force_first_fit(
+        self, per_device, devices, budget_position, bounds, power_of_two
+    ):
+        seq_len = devices * per_device
+        constraints = SearchConstraints(*bounds, power_of_two=power_of_two)
+        # Budgets spread log-uniformly over the table sizes this mesh can reach.
+        smallest = lookup_table_bytes(ChunkPlan(devices, seq_len, per_device, per_device))
+        largest = lookup_table_bytes(ChunkPlan(devices, seq_len, 1, 1))
+        budget = max(1, round(smallest * (largest / smallest) ** budget_position))
+        got = search_chunk_plan(devices, seq_len, budget, constraints)
+        want = brute_force_first_fit(devices, seq_len, budget, constraints)
+        assert (None if got is None else (got.q_chunk, got.kv_chunk)) == want
 
 
 class TestScenarioReport:

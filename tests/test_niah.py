@@ -1,5 +1,6 @@
 """Haystack generation, verdict scoring, grid execution, and the HTTP client."""
 
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -96,6 +97,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_case(make_case(haystack_tokens=10))
 
+    def test_zero_cost_tokenizer_rejected(self):
+        # Every filler sentence costs nothing, so no number of them reaches the target.
+        with pytest.raises(ValueError, match="positive token cost"):
+            generate_case(make_case(), tokenizer=lambda text: 0)
+
     def test_custom_tokenizer_hook(self):
         tokenizer = lambda text: len(text.split())  # 1 token per word
         gen = generate_case(make_case(haystack_tokens=700), tokenizer=tokenizer)
@@ -111,6 +117,47 @@ class TestGenerate:
     def test_non_digit_payload_rejected(self):
         with pytest.raises(ValueError):
             make_case(needle_payload="12a4")
+
+
+def _quarter_chars(text):
+    return (len(text) + 3) // 4
+
+
+class TestGenerateGolden:
+    """Documents recorded from the one-draw-per-sentence generator: any change
+    to the draw stream, the sum order or the token estimate shows up here."""
+
+    @pytest.mark.parametrize(
+        "tokens, depth, seed, tokenizer, digest, index, offset, estimate",
+        [
+            (40, 0.0, 0, None,
+             "55d08af06c7d5eb460d4d48f981d2afb678f7557bc63c448d25a7704494cecec", 0, 0, 39.0),
+            (2000, 50.0, 7, None,
+             "2a12923bbb28dcadb0d3d2a6d141558b0ec1856f67b1b2acec8296e408237b09", 58, 4195, 1987.7),
+            (8192, 25.0, 3, None,
+             "5087083520abd966f96170ec4bb4fa4e8fe6f8f3399fa8dbf412c55930fb5fe3",
+             120, 8797, 8180.900000000001),
+            (65536, 100.0, 11, None,
+             "a715039c6a90c2777c2086fc897eb33d830ab110f3193ad0787e4fa6a0fd6a39",
+             3872, 282082, 65529.100000000006),
+            (524288, 37.5, 1, None,
+             "ed038dd1eaf955c222fb7a5fa7d344cfe3e38e3ab34ebcae057eadf60b19c484",
+             11637, 847705, 524274.4),
+            (4096, 75.0, 5, _quarter_chars,
+             "3ea0143de9cca5bd56b0f3b47ccef34c914c4f6a42ec9d79abe2cb473ee0cbd8", 167, 12352, 4059.0),
+        ],
+    )
+    def test_matches_recorded_document(
+        self, tokens, depth, seed, tokenizer, digest, index, offset, estimate
+    ):
+        case = NiahCase(
+            haystack_tokens=tokens, depth_percent=depth, needle_payload="4096512", seed=seed
+        )
+        gen = generate_case(case, tokenizer)
+        assert hashlib.sha256(gen.document.encode("utf-8")).hexdigest() == digest
+        assert gen.needle_sentence_index == index
+        assert gen.needle_char_offset == offset
+        assert gen.estimated_tokens == estimate  # bit-exact, not approximate
 
 
 class TestScore:

@@ -193,6 +193,38 @@ class TestSerialization:
         with pytest.raises(ManifestError, match=match):
             load_manifest(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            ((0, "token_budget"), None, r"phases\[0\]\.token_budget must be a JSON integer"),
+            ((0, "index"), "1", r"phases\[0\]\.index must be a JSON integer"),
+            ((0, "token_budget"), 1_200_000_000.5, r"phases\[0\]\.token_budget must be a JSON integer"),
+            ((0, "rope_theta"), "25M", r"phases\[0\]\.rope_theta must be a JSON number"),
+            ((0, "rope_theta"), 10**400, r"phases\[0\]\.rope_theta is beyond the float64 range"),
+            ((0, "subtotal_tolerance"), [], r"phases\[0\]\.subtotal_tolerance must be a JSON number"),
+            ((0, "mix", "books"), False, r"phases\[0\]\.mix\.books must be a JSON number"),
+            ((0, "sequence_spec", 0, "seq_len"), None, r"sequence_spec\[0\]\.seq_len must be"),
+            ((3, "sequence_spec", 1, "sequence_count"), "300",
+             r"phases\[3\]\.sequence_spec\[1\]\.sequence_count must be a JSON integer"),
+            ((4, "sequence_spec", 0, "seq_len_max"), 5.5, r"sequence_spec\[0\]\.seq_len_max must be"),
+            ((1, "sequence_spec", 0, "token_subtotal"), {}, r"token_subtotal must be a JSON integer"),
+        ],
+    )
+    def test_load_wrongly_typed_scalar_fails(self, path, value, match):
+        doc = json.loads(emit_manifest(megabeam_recipe()))
+        *parents, last = ("phases", *path)
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(ManifestError, match=match):
+            load_manifest(json.dumps(doc))
+
+    def test_load_accepts_integral_numbers_for_integer_fields(self):
+        doc = json.loads(emit_manifest(megabeam_recipe()))
+        doc["phases"][0]["token_budget"] = 1.2e9
+        assert load_manifest(json.dumps(doc)) == megabeam_recipe()
+
     def test_load_enforces_invariants(self):
         doc = json.loads(emit_manifest(megabeam_recipe()))
         doc["phases"][0]["mix"] = {"source_code": 0.5}

@@ -8,6 +8,7 @@ shares no code with longctx.softnum, so agreement is meaningful.
 import math
 import struct
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -176,6 +177,19 @@ class TestProperties:
         assert oracle_round(r) == r
 
 
+@lru_cache(maxsize=1)
+def _enumerated_codes(count=2**20 + 2):
+    """16-bit codes of every integer 0 .. count-1: add-and-truncate applied
+    to each position's 32-bit pattern, as an array."""
+    u = np.arange(count, dtype=np.float64).astype(np.float32).view(np.uint32).astype(np.uint64)
+    u += 0x7FFF + ((u >> np.uint64(16)) & np.uint64(1))
+    return (u >> np.uint64(16)).astype(np.uint16)
+
+
+def enumerated_census(limit: int) -> int:
+    return int(np.unique(_enumerated_codes()[:limit]).size)
+
+
 class TestCensus:
     def test_small_limits(self):
         assert distinct_integer_census(257) == 257
@@ -208,6 +222,28 @@ class TestCensus:
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ValueError):
             distinct_integer_census(0)
+
+    @pytest.mark.parametrize("k", range(21))
+    def test_equals_enumeration_around_powers_of_two(self, k):
+        for limit in (2**k - 1, 2**k, 2**k + 1):
+            if limit >= 1:
+                assert distinct_integer_census(limit) == enumerated_census(limit), limit
+
+    @given(st.integers(1, 2**20))
+    def test_equals_enumeration_at_random_limits(self, limit):
+        assert distinct_integer_census(limit) == enumerated_census(limit)
+
+    @pytest.mark.parametrize("limit", [10**12, 2**24 + 17, 2**200])
+    def test_huge_limits_count_grid_integers_up_to_the_top(self, limit):
+        # Nothing is enumerated: the images of 0 .. limit-1 are the grid
+        # integers up to round(limit-1), plus infinity once that overflows.
+        top = oracle_round(as_f32(float(limit - 1)))
+        finite = sum(1 for v in _GRID_VALUES if v.denominator == 1 and v <= top)
+        assert distinct_integer_census(limit) == finite + math.isinf(top)
+
+    def test_rejects_limit_beyond_float64(self):
+        with pytest.raises(ValueError, match="float64"):
+            distinct_integer_census(10**400)
 
 
 class TestQuantizePosition:
