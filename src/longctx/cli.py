@@ -4,11 +4,17 @@ Exit codes: 0 success, 1 domain error (JSON error object on stderr),
 2 usage error (argparse). Success output on stdout is exactly one JSON
 document or one CSV table. Identical argv produce byte-identical output
 when --no-timestamp is given; otherwise a timestamp field is included.
+
+The argparse tree, built once at import, is the only routing table: each
+subparser binds its handler with set_defaults(func=...). Handlers raise
+on bad input, and the one except clause in dispatch turns every domain
+error into the JSON error object and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -98,16 +104,12 @@ def _parse_segments(spec: str, seq_len: int) -> np.ndarray:
 
 def _cmd_ringsim(args) -> None:
     rng = np.random.default_rng(args.seed)
-    if args.segments:
-        segment_ids = _parse_segments(args.segments, args.seq_len)
-        problem = ringsim.AttentionProblem(
-            q=rng.standard_normal((args.seq_len, args.head_dim)),
-            k=rng.standard_normal((args.seq_len, args.head_dim)),
-            v=rng.standard_normal((args.seq_len, args.head_dim)),
-            segment_ids=segment_ids,
-        )
-    else:
-        problem = ringsim.random_problem(args.seq_len, args.head_dim, rng, num_segments=1)
+    segment_ids = _parse_segments(args.segments, args.seq_len) if args.segments else None
+    # One segment draws no cut points, so Q/K/V come from the same stream
+    # with or without --segments; replace() re-runs the problem's checks.
+    problem = ringsim.random_problem(args.seq_len, args.head_dim, rng, num_segments=1)
+    if segment_ids is not None:
+        problem = dataclasses.replace(problem, segment_ids=segment_ids)
     mesh = ringsim.RingMesh(
         device_count=args.devices, query_chunk=args.q_chunk, kv_chunk=args.kv_chunk
     )
@@ -244,13 +246,13 @@ _STUBS = {
 }
 
 
-def _cmd_niah_grid(args, parser) -> None:
+def _cmd_niah_grid(args) -> None:
     if args.stub:
         client = _STUBS[args.stub]()
     else:
         endpoint = args.endpoint or os.environ.get("LONGCTX_ENDPOINT")
         if not endpoint:
-            parser.error("niah-grid needs --endpoint, --stub, or LONGCTX_ENDPOINT")
+            _PARSER.error("niah-grid needs --endpoint, --stub, or LONGCTX_ENDPOINT")
         shape = niah.ApiShape.from_file(args.api_shape) if args.api_shape else None
         client = niah.HttpCompletionClient(endpoint, shape=shape)
     result = niah.run_grid(
@@ -293,57 +295,34 @@ def _cmd_niah_grid(args, parser) -> None:
     )
 
 
-def _load_or_builtin_manifest(path: str | None) -> recipe.RecipeManifest:
-    if path is None:
+def _read_manifest(args) -> recipe.RecipeManifest:
+    if args.file is None:
         return recipe.megabeam_recipe()
-    with open(path, encoding="utf-8") as fh:
-        return recipe.load_manifest(fh.read())
+    with open(args.file, encoding="utf-8") as fh:
+        text = fh.read()
+    # validate reports broken invariants; show and emit refuse them.
+    return recipe.parse_manifest(text) if args.action == "validate" else recipe.load_manifest(text)
 
 
 def _cmd_recipe(args) -> None:
-    if args.action in ("show", "emit"):
-        manifest = _load_or_builtin_manifest(args.file)
-        text = recipe.emit_manifest(manifest)
-        if args.action == "emit" and args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    # validate: load without invariant enforcement so violations are reported,
-    # not raised.
-    if args.file is None:
-        manifest = recipe.megabeam_recipe()
+    manifest = _read_manifest(args)
+    if args.action == "validate":
         violations = recipe.validate(manifest)
+        _print_json(
+            {
+                "command": "recipe-validate",
+                "ok": not violations,
+                "violations": [dataclasses.asdict(v) for v in violations],
+            },
+            args,
+        )
+        return
+    text = recipe.emit_manifest(manifest)
+    if args.action == "emit" and args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            recipe.load_manifest(text)
-            violations = []
-        except recipe.ManifestError as exc:
-            _print_json(
-                {"command": "recipe-validate", "ok": False, "violations": [], "error": str(exc)},
-                args,
-            )
-            return
-    _print_json(
-        {
-            "command": "recipe-validate",
-            "ok": not violations,
-            "violations": [
-                {
-                    "phase_id": v.phase_id,
-                    "field": v.field,
-                    "expected": v.expected,
-                    "actual": v.actual,
-                    "message": v.message,
-                }
-                for v in violations
-            ],
-        },
-        args,
-    )
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +345,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("census", help="distinct 16-bit roundings of integer positions")
+    p.set_defaults(func=_cmd_census)
     p.add_argument("--limit", type=int, required=True)
 
     p = sub.add_parser("rope-plan", help="classify theta-base candidates for a context length")
+    p.set_defaults(func=_cmd_rope_plan)
     p.add_argument("--context-len", type=int, required=True)
     p.add_argument("--candidates", required=True, help="comma-separated theta bases")
     p.add_argument("--head-dim", type=int, default=128)
 
     p = sub.add_parser("rope-report", help="per-dimension wavelength CSV")
+    p.set_defaults(func=_cmd_rope_report)
     p.add_argument("--theta-base", type=float, required=True)
     p.add_argument("--head-dim", type=int, default=128)
     p.add_argument("--max-position", type=int, required=True)
 
     p = sub.add_parser("ringsim", help="ring attention vs oracle on a random problem")
+    p.set_defaults(func=_cmd_ringsim)
     p.add_argument("--seq-len", type=int, required=True)
     p.add_argument("--devices", type=int, required=True)
     p.add_argument("--q-chunk", type=int, required=True)
@@ -389,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-weights", help="write the oracle weight matrix to this CSV file")
 
     p = sub.add_parser("memplan", help="lookup-table memory report for a chunk plan")
+    p.set_defaults(func=_cmd_memplan)
     p.add_argument("--devices", type=int, required=True)
     p.add_argument("--seq-len", type=int, required=True)
     p.add_argument("--q-chunk", type=int, required=True)
@@ -397,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra-term", action="append", help="name=bytes, additive report term")
 
     p = sub.add_parser("memplan-search", help="smallest chunk sizes fitting a byte budget")
+    p.set_defaults(func=_cmd_memplan_search)
     p.add_argument("--devices", type=int, required=True)
     p.add_argument("--seq-len", type=int, required=True)
     p.add_argument("--budget", type=int, required=True)
@@ -407,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power-of-two", action="store_true")
 
     p = sub.add_parser("niah-gen", help="generate one needle-in-a-haystack document")
+    p.set_defaults(func=_cmd_niah_gen)
     p.add_argument("--haystack-tokens", type=int, required=True)
     p.add_argument("--depth", type=float, required=True)
     p.add_argument("--payload", required=True)
@@ -414,12 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the document here instead of inlining it")
 
     p = sub.add_parser("niah-score", help="score an answer against the expected payload")
+    p.set_defaults(func=_cmd_niah_score)
     p.add_argument("--expected", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--answer")
     group.add_argument("--answer-file")
 
     p = sub.add_parser("niah-grid", help="run a length x depth recall grid")
+    p.set_defaults(func=_cmd_niah_grid)
     p.add_argument("--lengths", required=True)
     p.add_argument("--depths", required=True)
     p.add_argument("--trials", type=int, default=1)
@@ -434,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detail-log", help="write per-trial JSON records to this file")
 
     p = sub.add_parser("recipe", help="show, validate, or emit the training-plan manifest")
+    p.set_defaults(func=_cmd_recipe)
     p.add_argument("action", choices=["show", "validate", "emit"])
     p.add_argument("--file", help="manifest file (defaults to the built-in plan)")
     p.add_argument("--out", help="with emit: write the manifest here")
@@ -441,27 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
-    """Route argv to a subcommand; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "census": _cmd_census,
-        "rope-plan": _cmd_rope_plan,
-        "rope-report": _cmd_rope_report,
-        "ringsim": _cmd_ringsim,
-        "memplan": _cmd_memplan,
-        "memplan-search": _cmd_memplan_search,
-        "niah-gen": _cmd_niah_gen,
-        "niah-score": _cmd_niah_score,
-        "recipe": _cmd_recipe,
-    }
+    """Run argv's subcommand handler; returns the process exit code."""
+    args = _PARSER.parse_args(argv)
     try:
-        if args.subcommand == "niah-grid":
-            _cmd_niah_grid(args, parser)
-        else:
-            handlers[args.subcommand](args)
-    except (ValueError, OSError) as exc:
+        args.func(args)
+    except (ValueError, OverflowError, OSError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(error, indent=2) + "\n")
         return 1

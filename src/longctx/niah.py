@@ -20,6 +20,7 @@ for testing grids offline.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import time
@@ -123,11 +124,12 @@ def estimate_tokens(text: str, tokenizer=None) -> float:
     return len(text.split()) * TOKENS_PER_WORD
 
 
-def filler_sentences() -> list[str]:
-    """Bundled digit-free filler sentences, one per line."""
+@functools.cache
+def filler_sentences() -> tuple[str, ...]:
+    """Bundled digit-free filler sentences, one per line; read once, immutable."""
     text = resources.files("longctx").joinpath("data/filler.txt").read_text(encoding="utf-8")
     sentences = [line.strip() for line in text.splitlines() if line.strip()]
-    return [s for s in sentences if not _DIGIT_RUN.search(s)]
+    return tuple(s for s in sentences if not _DIGIT_RUN.search(s))
 
 
 def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
@@ -439,6 +441,8 @@ def run_grid(
     depths = tuple(float(x) for x in depths)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not lengths or not depths:
+        raise ValueError("lengths and depths must each hold at least one value")
     # grid_csv keys cells by (length, depth), so a repeated value would hide a column or row.
     for name, values in (("lengths", lengths), ("depths", depths)):
         if len(set(values)) != len(values):

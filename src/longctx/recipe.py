@@ -11,6 +11,11 @@ The validator recomputes token accounting independently (counts x lengths
 against declared subtotals, subtotal sums against phase budgets) and
 checks mix normalization and the theta progression. Manifests serialize to
 a canonical JSON form that round-trips exactly.
+
+Reading JSON back is two steps. parse_manifest checks only shape and
+types (a missing key, a non-list phases, a string budget) and raises
+ManifestError for those; validate then lists every broken invariant as a
+Violation. load_manifest does both and raises if any violation is found.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "megabeam_recipe",
     "validate",
     "emit_manifest",
+    "parse_manifest",
     "load_manifest",
 ]
 
@@ -392,8 +398,12 @@ def _sequence_spec(edoc: dict, ctx: str) -> SequenceSpec:
     )
 
 
-def load_manifest(text: str) -> RecipeManifest:
-    """Parse canonical JSON back into a manifest, enforcing all invariants."""
+def parse_manifest(text: str) -> RecipeManifest:
+    """Parse manifest JSON, raising ManifestError for shape and type errors only.
+
+    Invariants are left to validate(), so a manifest that breaks them
+    still parses and its violations can be listed.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -432,12 +442,17 @@ def load_manifest(text: str) -> RecipeManifest:
             )
         )
 
-    manifest = RecipeManifest(
+    return RecipeManifest(
         base_model=str(_require(doc, "base_model", "manifest")),
         phases=tuple(phases),
         notes=tuple(str(n) for n in _as_list(doc.get("notes", []), "manifest.notes")),
         schema=int(schema),
     )
+
+
+def load_manifest(text: str) -> RecipeManifest:
+    """Parse canonical JSON back into a manifest, enforcing all invariants."""
+    manifest = parse_manifest(text)
     problems = validate(manifest)
     if problems:
         raise ManifestError(

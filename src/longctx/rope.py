@@ -56,8 +56,8 @@ class RopeConfig:
     precision: PrecisionMode = PrecisionMode.FULL32
 
     def __post_init__(self):
-        if self.theta_base <= 1:
-            raise ValueError(f"theta_base must be > 1, got {self.theta_base}")
+        if not 1 < self.theta_base < np.inf:
+            raise ValueError(f"theta_base must be finite and > 1, got {self.theta_base}")
         if self.head_dim <= 0 or self.head_dim % 2 != 0:
             raise ValueError(f"head_dim must be a positive even integer, got {self.head_dim}")
         if self.max_position < 1:

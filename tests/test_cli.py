@@ -1,5 +1,7 @@
 """CLI contract: schemas, exit codes, determinism, and flagship outputs."""
 
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from longctx import recipe
 from longctx.cli import dispatch
 
 GOLDEN = Path(__file__).parent / "data" / "megabeam_manifest.json"
@@ -281,7 +284,10 @@ class TestRecipe:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(broken), encoding="utf-8")
         doc = run_json(capsys, "recipe", "validate", "--file", str(path))
-        assert doc["ok"] is False
+        check_schema("recipe-validate", doc)
+        assert doc["ok"] is False and "error" not in doc
+        expected = recipe.validate(recipe.parse_manifest(path.read_text(encoding="utf-8")))
+        assert expected and doc["violations"] == [dataclasses.asdict(v) for v in expected]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -296,10 +302,11 @@ class TestRecipe:
         assert error["type"] == "ManifestError"
         assert f"phases[0].{field}" in error["message"]
 
-    def test_phases_not_a_list_is_domain_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("action", ["show", "validate"])
+    def test_phases_not_a_list_is_domain_error(self, capsys, tmp_path, action):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"schema": 1, "base_model": "x", "phases": 7}))
-        code = dispatch(["--no-timestamp", "recipe", "show", "--file", str(path)])
+        code = dispatch(["--no-timestamp", "recipe", action, "--file", str(path)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         check_schema("error", json.loads(captured.err))
@@ -358,3 +365,111 @@ class TestContract:
             capture_output=True, text=True, check=True,
         )
         assert json.loads(proc.stdout)["distinct"] == 257
+
+
+# One --no-timestamp argv per subcommand, with the sha256 of its stdout.
+# A change to how argv reaches a handler must leave every byte in place.
+STDOUT_DIGESTS = [
+    pytest.param(
+        ("census", "--limit", "524288"),
+        "97867e23df69346361e327955231c501fb38bba2c508364ff1c853bd628afdd2",
+        id="census",
+    ),
+    pytest.param(
+        ("rope-plan", "--context-len", "524288",
+         "--candidates", "25000000,75000000,100000000", "--head-dim", "128"),
+        "9897832f4d4e75c4f3496154da8712f0d338aaeb370de386650e935aaa2cdf67",
+        id="rope-plan",
+    ),
+    pytest.param(
+        ("rope-report", "--theta-base", "75000000", "--head-dim", "16",
+         "--max-position", "524288"),
+        "ca2dcc2c439a0a2c9d3e6a746105cd5e524dcc5f363a4fa02245b2574ebc69b5",
+        id="rope-report-csv",
+    ),
+    pytest.param(
+        ("ringsim", "--seq-len", "32", "--devices", "4", "--q-chunk", "4",
+         "--kv-chunk", "8", "--seed", "9"),
+        "e536797267037e724477f66a3f1a139300c91ea458006dc39e1724d15415514f",
+        id="ringsim",
+    ),
+    pytest.param(
+        ("ringsim", "--seq-len", "32", "--devices", "2", "--q-chunk", "4",
+         "--kv-chunk", "4", "--seed", "1", "--segments", "10,22"),
+        "568ffe2888aad1d6c80f95c6de39b95c91141719396ea66eef4e21a011b84da9",
+        id="ringsim-segments",
+    ),
+    pytest.param(
+        ("memplan", "--devices", "8", "--seq-len", "524288", "--q-chunk", "2048",
+         "--kv-chunk", "4096", "--budget", str(16 * 2**30),
+         "--extra-term", "activations=1073741824"),
+        "984debfceec2e6546e4002bb7969da37e26dc5b8968df74650a66196700b1ec2",
+        id="memplan",
+    ),
+    pytest.param(
+        ("memplan-search", "--devices", "8", "--seq-len", "524288",
+         "--budget", str(16 * 2**30), "--min-q-chunk", "1024",
+         "--min-kv-chunk", "2048", "--power-of-two"),
+        "8d7245488ddf9794eb65a2fc7b27aa36dd9c08d160afe0de34ed6aa26df234b6",
+        id="memplan-search",
+    ),
+    pytest.param(
+        ("niah-gen", "--haystack-tokens", "2000", "--depth", "50",
+         "--payload", "7418118", "--seed", "1"),
+        "011cce21f784fd107a1a850da0f48453aefe5f5a9b94c4b8898e9c812533d34d",
+        id="niah-gen",
+    ),
+    pytest.param(
+        ("niah-score", "--expected", "7418118", "--answer", "I recall 741811"),
+        "36d989b1f4ccdac47bbe1b9a59abcb8b4b3e3d47c83b6720ab8ba32603a8e9b7",
+        id="niah-score",
+    ),
+    pytest.param(
+        ("niah-grid", "--lengths", "600,900", "--depths", "0,50,100",
+         "--trials", "2", "--stub", "drop-last", "--seed", "5"),
+        "2ae542a93919497e0d21d490d65f1f02676609972614c7db0776878aee5349dd",
+        id="niah-grid",
+    ),
+    pytest.param(
+        ("recipe", "validate"),
+        "cf6c5b06ec9851af53685dba50c06ed8bfa32337068d2567460bffec8311e767",
+        id="recipe-validate",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_DIGESTS)
+def test_stdout_digest_is_pinned(capsys, argv, digest):
+    out = run_cli(capsys, *argv).out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestParserReuse:
+    MEMPLAN = ("memplan", "--devices", "8", "--seq-len", "524288",
+               "--q-chunk", "2048", "--kv-chunk", "4096")
+
+    def test_appended_flag_does_not_carry_over(self, capsys):
+        assert run_json(capsys, *self.MEMPLAN, "--extra-term", "a=1")["breakdown"]["a"] == 1
+        assert "a" not in run_json(capsys, *self.MEMPLAN)["breakdown"]
+
+    def test_grid_without_endpoint_after_a_grid_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.delenv("LONGCTX_ENDPOINT", raising=False)
+        grid = ("niah-grid", "--lengths", "600", "--depths", "0", "--trials", "1")
+        run_json(capsys, *grid, "--stub", "echo")
+        with pytest.raises(SystemExit) as excinfo:
+            dispatch(["--no-timestamp", *grid])
+        assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rope-plan", "--context-len", str(10**400), "--candidates", "1e6"),
+        ("rope-report", "--theta-base", "1e6", "--max-position", str(10**400)),
+        ("memplan", "--devices", "1", "--seq-len", str(2**1100),
+         "--q-chunk", str(2**1100), "--kv-chunk", str(2**1100)),
+    ],
+    ids=["rope-plan", "rope-report", "memplan"],
+)
+def test_beyond_float_range_is_domain_error(capsys, argv):
+    assert run_domain_error(capsys, *argv)["type"] == "OverflowError"

@@ -1,0 +1,149 @@
+"""Argv fuzzing of the CLI exit contract.
+
+Any argv ends in exit 0, 1 or 2. Exit 1 means an empty stdout and a JSON
+error on stderr that validates against schemas/error.json; a warning
+raised on the way would reach stderr ahead of that JSON, so it breaks the
+contract too. A JSON document on stdout at exit 0 is strict JSON, with no
+NaN or Infinity.
+
+Values come from a fixed pool of small, malformed, non-finite and
+beyond-float inputs. Flags that size the work (tokens, grid cells,
+threads) draw only values up to 64, so no example allocates by size. No
+argv carries --endpoint and LONGCTX_ENDPOINT is unset, so nothing is
+sent; flags that name a file to write are left out.
+"""
+
+import contextlib
+import io
+import json
+import os
+import warnings
+from importlib import resources
+from unittest import mock
+
+import jsonschema
+from hypothesis import given, settings, strategies as st
+
+from longctx.cli import dispatch
+
+SMALL = ("1", "2", "3", "8", "64", "-1", "0", "abc", "", "nan", "inf")
+POOL = SMALL + ("1e400", str(10**400), str(2**1100))
+
+ANY = st.sampled_from(POOL)
+SIZE = st.sampled_from(SMALL)
+FEW = st.sampled_from(("1", "2", "3", "-1", "0", "abc"))
+FLAG = None  # a store_true flag takes no value
+
+
+def choice(*valid):
+    return st.sampled_from(valid + POOL)
+
+
+# subcommand -> (required flags, optional flags); "" is a positional argument.
+COMMANDS = {
+    "census": ({"--limit": ANY}, {}),
+    "rope-plan": (
+        {"--context-len": ANY, "--candidates": ANY},
+        {"--head-dim": ANY},
+    ),
+    "rope-report": (
+        {"--theta-base": ANY, "--max-position": ANY},
+        {"--head-dim": ANY},
+    ),
+    "ringsim": (
+        {"--seq-len": SIZE, "--devices": ANY, "--q-chunk": ANY, "--kv-chunk": ANY},
+        {"--seed": ANY, "--head-dim": SIZE, "--segments": ANY},
+    ),
+    "memplan": (
+        {"--devices": ANY, "--seq-len": SIZE, "--q-chunk": ANY, "--kv-chunk": ANY},
+        {"--budget": ANY, "--extra-term": st.builds("a={}".format, ANY) | ANY},
+    ),
+    "memplan-search": (
+        {"--devices": ANY, "--seq-len": SIZE, "--budget": ANY},
+        {
+            "--min-q-chunk": ANY,
+            "--min-kv-chunk": ANY,
+            "--max-q-chunk": ANY,
+            "--max-kv-chunk": ANY,
+            "--power-of-two": FLAG,
+        },
+    ),
+    "niah-gen": (
+        {"--haystack-tokens": SIZE, "--depth": ANY, "--payload": ANY},
+        {"--seed": ANY},
+    ),
+    "niah-score": (
+        {"--expected": ANY, "--answer": ANY},
+        {"--answer-file": ANY},
+    ),
+    "niah-grid": (
+        {"--lengths": SIZE, "--depths": ANY},
+        {
+            "--trials": FEW,
+            "--stub": choice("echo", "drop-last", "silent"),
+            "--api-shape": ANY,
+            "--seed": ANY,
+            "--max-tokens": ANY,
+            "--concurrency": FEW,
+            "--format": choice("json", "csv"),
+            "--metric": choice("exact", "truncated", "wrong", "empty", "error"),
+        },
+    ),
+    "recipe": (
+        {"": choice("show", "validate", "emit")},
+        {"--file": ANY},
+    ),
+}
+
+
+def _words(draw, flag, values):
+    if values is FLAG:
+        return [flag]
+    value = draw(values)
+    return [flag, value] if flag else [value]
+
+
+@st.composite
+def argvs(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[name]
+    argv = [name]
+    for flag, values in required.items():
+        argv += _words(draw, flag, values)
+    extras = st.lists(st.sampled_from(sorted(optional)), max_size=3, unique=True) if optional else st.just([])
+    for flag in draw(extras):
+        argv += _words(draw, flag, optional[flag])
+    return argv
+
+
+def _reject_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+ERROR_SCHEMA = json.loads(
+    resources.files("longctx").joinpath("schemas/error.json").read_text(encoding="utf-8")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_every_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    env = {k: v for k, v in os.environ.items() if k != "LONGCTX_ENDPOINT"}
+    with (
+        mock.patch.dict(os.environ, env, clear=True),
+        warnings.catch_warnings(record=True) as caught,
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        warnings.simplefilter("always")
+        try:
+            code = dispatch(["--no-timestamp", *argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 1:
+        assert out.getvalue() == "" and not caught, (argv, [str(w.message) for w in caught])
+        jsonschema.validate(json.loads(err.getvalue()), ERROR_SCHEMA)
+    if code == 0 and out.getvalue().startswith("{"):
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

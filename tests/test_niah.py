@@ -41,6 +41,10 @@ class TestFiller:
         for sentence in filler_sentences():
             assert not any(ch.isdigit() for ch in sentence)
 
+    def test_filler_is_read_once_and_immutable(self):
+        pool = filler_sentences()
+        assert isinstance(pool, tuple) and filler_sentences() is pool
+
     def test_filler_is_plentiful_and_varied(self):
         pool = filler_sentences()
         assert len(pool) >= 50
@@ -304,6 +308,12 @@ class TestGrid:
     @pytest.mark.parametrize("lengths, depths", [([600, 600], [0]), ([600], [50, 50.0])])
     def test_rejects_repeated_lengths_or_depths(self, lengths, depths):
         with pytest.raises(ValueError, match="must not repeat"):
+            run_grid(lengths, depths, 1, EchoStub())
+
+    @pytest.mark.parametrize("lengths, depths", [([], [float("nan")]), ([600], [])])
+    def test_rejects_an_empty_axis(self, lengths, depths):
+        # An empty axis would skip generate_case, which checks every depth.
+        with pytest.raises(ValueError, match="at least one value"):
             run_grid(lengths, depths, 1, EchoStub())
 
 

@@ -40,6 +40,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg(theta=1.0)
 
+    @pytest.mark.parametrize("theta", [float("inf"), float("nan")])
+    def test_rejects_non_finite_theta(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            cfg(theta=theta)
+
     def test_rejects_nonpositive_max_position(self):
         with pytest.raises(ValueError):
             RopeConfig(theta_base=10.0, head_dim=2, max_position=0)
