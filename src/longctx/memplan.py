@@ -161,10 +161,7 @@ def search_chunk_plan(
     """
     if budget_bytes <= 0:
         raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
-    if devices < 1 or seq_len < 1:
-        raise ValueError(f"devices and seq_len must be positive, got {devices} and {seq_len}")
-    if seq_len % devices != 0:
-        raise ValueError(f"devices {devices} must divide seq_len {seq_len}")
+    ChunkPlan(devices, seq_len, 1, 1)  # checks the device layout before any search
     c = constraints
     if c.min_q_chunk < 1 or c.min_kv_chunk < 1:
         raise ValueError(

@@ -21,6 +21,7 @@ for testing grids offline.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 import time
@@ -448,22 +449,15 @@ def run_grid(
         if len(set(values)) != len(values):
             raise ValueError(f"{name} must not repeat a value, got {list(values)}")
 
-    tasks = []
-    for li, length in enumerate(lengths):
-        for di, depth in enumerate(depths):
-            for trial in range(trials):
-                seq = np.random.SeedSequence([base_seed, li, di, trial])
-                rng = np.random.default_rng(seq)
-                case = NiahCase(
-                    haystack_tokens=length,
-                    depth_percent=depth,
-                    needle_payload=_payload_for(rng),
-                    seed=int(rng.integers(0, 2**31)),
-                )
-                tasks.append((li, di, trial, case))
-
     def run_one(task):
-        li, di, trial, case = task
+        li, di, trial = task
+        rng = np.random.default_rng([base_seed, li, di, trial])
+        case = NiahCase(
+            haystack_tokens=lengths[li],
+            depth_percent=depths[di],
+            needle_payload=_payload_for(rng),
+            seed=int(rng.integers(0, 2**31)),
+        )
         gen = generate_case(case, tokenizer)
         try:
             answer = _call_with_retries(
@@ -473,11 +467,13 @@ def run_grid(
             return (li, di, trial, case, None, str(exc))
         return (li, di, trial, case, score(gen.expected, answer, case), None)
 
+    # Both maps yield outcomes in task order, which is (li, di, trial) order.
+    tasks = itertools.product(range(len(lengths)), range(len(depths)), range(trials))
     if max_concurrency > 1:
         with ThreadPoolExecutor(max_workers=max_concurrency) as pool:
             outcomes = list(pool.map(run_one, tasks))
     else:
-        outcomes = [run_one(t) for t in tasks]
+        outcomes = map(run_one, tasks)
 
     tallies: dict[tuple[int, int], dict[str, int]] = {
         (li, di): {v.value: 0 for v in Verdict} | {"error": 0}
@@ -485,7 +481,7 @@ def run_grid(
         for di in range(len(depths))
     }
     details = []
-    for li, di, trial, case, result, error in sorted(outcomes, key=lambda o: o[:3]):
+    for li, di, trial, case, result, error in outcomes:
         record = {
             "haystack_tokens": lengths[li],
             "depth_percent": depths[di],

@@ -21,7 +21,7 @@ Violation. load_manifest does both and raises if any violation is found.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -315,15 +315,6 @@ def _int_if_integral(x: float):
     return int(x) if float(x).is_integer() else x
 
 
-def _entry_to_json(e: SequenceSpec) -> dict:
-    return {
-        "seq_len": e.seq_len,
-        "seq_len_max": e.seq_len_max,
-        "sequence_count": e.sequence_count,
-        "token_subtotal": e.token_subtotal,
-    }
-
-
 def _phase_to_json(p: PhasePlan) -> dict:
     return {
         "index": p.index,
@@ -334,7 +325,7 @@ def _phase_to_json(p: PhasePlan) -> dict:
         "subtotal_tolerance": p.subtotal_tolerance,
         "mix": {name: p.mix[name] for name in sorted(p.mix)},
         "checkpoint": p.checkpoint,
-        "sequence_spec": [_entry_to_json(e) for e in p.sequence_spec],
+        "sequence_spec": [asdict(e) for e in p.sequence_spec],
     }
 
 

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .softnum import PrecisionMode, quantize_position, round_trip
+from .softnum import PrecisionMode, quantize_position
 
 __all__ = [
     "RopeConfig",
@@ -81,8 +81,9 @@ def rotate(
 
     The position index is first represented in cfg.precision, then
     multiplied by each pair's inverse frequency; sin/cos run in 64-bit.
-    round_angle additionally pushes each angle product through the same
-    precision, a second injection point for studying where rounding hurts.
+    round_angle additionally pushes the angle products, as one array,
+    through the same precision and the same softnum bit kernel, a second
+    injection point for studying where rounding hurts.
     Raises ValueError on dimension mismatch or position >= max_position,
     since either one signals a misconfigured encoding universe.
     """
@@ -95,10 +96,7 @@ def rotate(
     pos = quantize_position(position, cfg.precision)
     angles = pos * inverse_frequencies(cfg)
     if round_angle:
-        if cfg.precision is PrecisionMode.REDUCED16:
-            angles = np.array([round_trip(a) for a in angles])
-        else:
-            angles = angles.astype(np.float32).astype(np.float64)
+        angles = quantize_position(angles, cfg.precision)
     cos, sin = np.cos(angles), np.sin(angles)
 
     out = np.empty_like(v)

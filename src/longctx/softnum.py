@@ -2,9 +2,10 @@
 
 The 16-bit format modeled here has 1 sign bit, 8 exponent bits and 7
 fraction bits, i.e. the same exponent range as a 32-bit float but 16 fewer
-mantissa bits. Everything is done with integer bit manipulation on 32-bit
-patterns, so results are identical on every platform and never depend on a
-native half-width dtype.
+mantissa bits. One numpy kernel does all the rounding, for a float or an
+array alike: it casts to 32-bit floats and works on their bit patterns with
+integer operations, so results are identical on every platform and never
+depend on a native half-width dtype.
 
 Only rounding and widening are implemented. That is enough to study how
 coarse the format's integer grid becomes at large magnitudes: every integer
@@ -14,11 +15,11 @@ holds only 128 grid points.
 
 from __future__ import annotations
 
-import math
-import struct
 import sys
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 __all__ = [
     "PrecisionMode",
@@ -31,7 +32,6 @@ __all__ = [
     "distinct_integer_census",
 ]
 
-_SIGN_MASK = 0x8000
 _EXP_MASK = 0x7F80
 _FRAC_MASK = 0x007F
 _QUIET_BIT = 0x0040
@@ -63,60 +63,61 @@ class Reduced16:
         return (self.bits & _EXP_MASK) == _EXP_MASK and (self.bits & _FRAC_MASK) == 0
 
 
-def _float_to_u32(x: float) -> int:
-    """Bit pattern of x after conversion to a 32-bit float."""
-    try:
-        return struct.unpack("<I", struct.pack("<f", x))[0]
-    except (OverflowError, struct.error):
-        # Doubles beyond 32-bit range overflow to same-signed infinity.
-        return 0x7F800000 if x > 0 else 0xFF800000
+def _round(x, mode: PrecisionMode):
+    """The one rounding kernel: x represented in mode, as numpy 32-bit floats.
 
-
-def _u32_to_float(u: int) -> float:
-    return struct.unpack("<f", struct.pack("<I", u & 0xFFFFFFFF))[0]
+    x, a float or an array, is cast to 32-bit floats, so doubles beyond the
+    32-bit range become infinity of matching sign. REDUCED16 then rounds
+    each 32-bit pattern to its high half, nearest with ties to even: add
+    0x7FFF plus the parity of the kept lsb, then truncate. A carry out of the
+    mantissa walks into the exponent, which is exactly the IEEE
+    overflow-to-infinity path. Subnormals round like any other value; there
+    is no flush to zero. NaN keeps its high fraction bits, and the quiet bit
+    is forced when they are all zero so the pattern cannot collapse to
+    infinity. The patterns of a REDUCED16 result have zero low halves.
+    """
+    with np.errstate(over="ignore"):
+        f = np.asarray(x, np.float32)[()]  # a numpy scalar for scalar x: cheaper arithmetic
+        if mode is PrecisionMode.FULL32:
+            return f
+        u = f.view(np.uint32)
+        rounded = (u + 0x7FFF + ((u >> 16) & 1)) & 0xFFFF0000
+        quiet = np.uint32(_QUIET_BIT << 16) * ((u & (_FRAC_MASK << 16)) == 0)
+        return np.where(np.isnan(f), (u & 0xFFFF0000) | quiet, rounded).view(np.float32)
 
 
 def round_to_reduced16(x: float) -> Reduced16:
-    """Round a 32-bit value to the nearest 16-bit value, ties to even.
+    """Round a value to the nearest 16-bit value, ties to even.
 
-    Overflow maps to infinity of matching sign; NaN stays NaN (the high
-    fraction bits are kept and the quiet bit is forced so the pattern cannot
-    collapse to infinity). Subnormals round like any other value; there is
-    no flush to zero.
+    Overflow maps to infinity of matching sign; NaN stays NaN. See _round.
     """
-    u = _float_to_u32(x)
-    if math.isnan(x):
-        bits = (u >> 16) & 0xFFFF
-        if (bits & _FRAC_MASK) == 0:
-            bits |= _QUIET_BIT
-        return Reduced16(bits)
-    # Round-to-nearest-even on the low 16 bits: add 0x7FFF plus the parity
-    # of the result's lsb, then truncate. A carry out of the mantissa walks
-    # into the exponent, which is exactly the IEEE overflow-to-infinity path.
-    u += 0x7FFF + ((u >> 16) & 1)
-    return Reduced16((u >> 16) & 0xFFFF)
+    return Reduced16(int(_round(float(x), PrecisionMode.REDUCED16).view(np.uint32)) >> 16)
 
 
 def widen(v: Reduced16) -> float:
     """Exact embedding of a 16-bit value into a wider float. No rounding."""
-    return _u32_to_float(v.bits << 16)
+    return float(np.uint32(v.bits << 16).view(np.float32))
 
 
-def round_trip(x: float) -> float:
-    """Value actually represented after rounding x to the 16-bit format."""
-    return widen(round_to_reduced16(x))
+def round_trip(x: float | np.ndarray) -> float | np.ndarray:
+    """Value actually represented after rounding x (a float or an array) to the 16-bit format."""
+    return quantize_position(x, PrecisionMode.REDUCED16)
 
 
-def round_to_full32(x: float) -> float:
-    """Value actually represented after rounding x to a 32-bit float."""
-    return _u32_to_float(_float_to_u32(x))
+def round_to_full32(x: float | np.ndarray) -> float | np.ndarray:
+    """Value actually represented after rounding x (a float or an array) to a 32-bit float."""
+    return quantize_position(x, PrecisionMode.FULL32)
 
 
-def quantize_position(position: float, mode: PrecisionMode) -> float:
-    """Represent a position index in the given precision mode."""
-    if mode is PrecisionMode.REDUCED16:
-        return round_trip(float(position))
-    return round_to_full32(float(position))
+def quantize_position(position: float | np.ndarray, mode: PrecisionMode) -> float | np.ndarray:
+    """Represent a position index, or an array of them, in the given precision mode.
+
+    A scalar is converted with float() and comes back as a float; an array
+    comes back as a float64 array of the same shape.
+    """
+    if np.ndim(position) == 0:
+        return float(_round(float(position), mode))
+    return _round(position, mode).astype(np.float64)
 
 
 def distinct_integer_census(limit: int) -> int:
@@ -141,7 +142,7 @@ def distinct_integer_census(limit: int) -> int:
         raise ValueError(
             f"limit must be at most {sys.float_info.max:.6e}, the float64 range"
         ) from None
-    top = round_to_reduced16(last)
-    if widen(top) <= 256:
-        return int(widen(top)) + 1
-    return 257 + top.bits - 0x4380
+    top = _round(last, PrecisionMode.REDUCED16)
+    if top <= 256:
+        return int(top) + 1
+    return 257 + (int(top.view(np.uint32)) >> 16) - 0x4380

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from longctx import niah
 from longctx.niah import (
     ApiShape,
     ClientError,
@@ -300,6 +301,14 @@ class TestGrid:
         assert lines[0] == "haystack_tokens,depth_0,depth_50,depth_100"
         assert len(lines) == 3
         assert lines[1].startswith("600,") and lines[1].endswith("1.000000,1.000000,1.000000")
+
+    def test_first_case_is_checked_before_later_tasks_are_built(self, monkeypatch):
+        calls = []
+        original = niah._payload_for
+        monkeypatch.setattr(niah, "_payload_for", lambda rng: calls.append(1) or original(rng))
+        with pytest.raises(ValueError, match="cannot hold needle"):
+            run_grid([8], [0], 1000, EchoStub())
+        assert len(calls) == 1
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

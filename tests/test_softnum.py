@@ -7,6 +7,7 @@ shares no code with longctx.softnum, so agreement is meaningful.
 
 import math
 import struct
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 
@@ -145,6 +146,15 @@ class TestRounding:
         assert round_trip(tiny) == tiny
         assert round_trip(2.0**-126) == 2.0**-126
 
+    def test_no_warning_beyond_float32_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert round_trip(1e300) == math.inf
+            assert round_to_full32(-1e300) == -math.inf
+            out = round_trip(np.array([1e300, -1e300, math.nan]))
+            assert out[0] == math.inf and out[1] == -math.inf and math.isnan(out[2])
+            assert distinct_integer_census(10**300) > 0
+
     def test_bits_range_validated(self):
         with pytest.raises(ValueError):
             Reduced16(1 << 16)
@@ -175,6 +185,30 @@ class TestProperties:
         if math.isinf(r):
             return
         assert oracle_round(r) == r
+
+
+class TestArrays:
+    @given(st.lists(st.floats(width=32), max_size=32))
+    def test_array_matches_oracle_elementwise(self, xs):
+        arr = np.array(xs, dtype=np.float64)
+        trip, full = round_trip(arr), round_to_full32(arr)
+        assert trip.shape == full.shape == arr.shape
+        for x, got in zip(xs, trip):
+            want = oracle_round(x)
+            assert got == want or (math.isnan(got) and math.isnan(want)), x
+        np.testing.assert_array_equal(full, [as_f32(x) for x in xs])
+        np.testing.assert_array_equal(quantize_position(arr, PrecisionMode.REDUCED16), trip)
+        np.testing.assert_array_equal(quantize_position(arr, PrecisionMode.FULL32), full)
+
+    def test_nan_payload_in_the_low_half_stays_nan(self):
+        # Truncating 0x7F800001 alone would leave the infinity pattern 0x7F80.
+        x = np.array([0x7F800001, 0xFF800001, 0x7FC00000], np.uint32).view(np.float32)
+        assert np.isnan(round_trip(x)).all()
+
+    def test_scalars_stay_python_floats(self):
+        assert type(round_trip(3)) is float
+        assert type(round_to_full32(np.float32(0.1))) is float
+        assert type(quantize_position(257, PrecisionMode.REDUCED16)) is float
 
 
 @lru_cache(maxsize=1)
