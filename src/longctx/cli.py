@@ -18,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 
 import numpy as np
@@ -103,21 +104,23 @@ def _parse_segments(spec: str, seq_len: int) -> np.ndarray:
 
 
 def _cmd_ringsim(args) -> None:
-    rng = np.random.default_rng(args.seed)
-    segment_ids = _parse_segments(args.segments, args.seq_len) if args.segments else None
-    # One segment draws no cut points, so Q/K/V come from the same stream
-    # with or without --segments; replace() re-runs the problem's checks.
-    problem = ringsim.random_problem(args.seq_len, args.head_dim, rng, num_segments=1)
-    if segment_ids is not None:
-        problem = dataclasses.replace(problem, segment_ids=segment_ids)
     mesh = ringsim.RingMesh(
         device_count=args.devices, query_chunk=args.q_chunk, kv_chunk=args.kv_chunk
     )
+    # Both size bounds are checked before anything sized by S is allocated.
+    mesh.validate_for(args.seq_len)
+    rng = np.random.default_rng(args.seed)
+    # One segment draws no cut points, so Q/K/V come from the same stream
+    # with or without --segments; replace() re-runs the problem's checks.
+    problem = ringsim.random_problem(args.seq_len, args.head_dim, rng, num_segments=1)
+    if args.segments:
+        problem = dataclasses.replace(
+            problem, segment_ids=_parse_segments(args.segments, args.seq_len)
+        )
     out, trace = ringsim.ring_attention(problem, mesh)
-    reference = ringsim.exact_attention(problem)
-    if args.dump_weights:
-        weights = ringsim.attention_weights(problem)
-        np.savetxt(args.dump_weights, weights, delimiter=",")
+    dump = open(args.dump_weights, "w", encoding="utf-8") if args.dump_weights else nullcontext()
+    with dump as fh:
+        reference = ringsim.exact_attention(problem, weights_csv=fh)
     _print_json(
         {
             "command": "ringsim",

@@ -6,7 +6,9 @@ with per-token segment ids (documents are contiguous spans), attention is
 causal and never crosses a segment boundary, and two routes compute the
 same output:
 
-  exact_attention       full softmax over the whole score matrix (oracle)
+  exact_attention       row-blocked oracle: each block of 256 query rows
+                        takes only its legal key span and a full,
+                        non-streaming softmax per row
   ring_attention        P simulated devices; queries stay put, KV partitions
                         rotate peer to peer, online-softmax accumulation over
                         query/KV chunks inside each device
@@ -31,13 +33,27 @@ Skipping is exact, not an approximation: an empty block's scores are all
 still zero) and adds exp(-inf) = 0 to the sums; a full block's mask would
 select every score. Outputs are bitwise those of visiting every block.
 
+The oracle's key span for a row block runs from the first key of the
+block's first document to the block's last row (causal) or to the end of
+its last document (non-causal). Every legal key of every row in the block
+lies inside it, and every key outside it would get weight exactly 0.0, so
+the span changes which zeros are summed, not the result. exact_attention
+never holds an S x S array, only temporaries of at most 256 x S;
+attention_weights returns the full matrix.
+
 Simulated devices execute in a fixed sequential order, so outputs are
 bit-stable across runs.
+
+Memory is bounded before anything is allocated: random_problem refuses a
+problem whose Q/K/V plus one oracle strip would pass MAX_WORKING_SET_BYTES,
+and RingMesh.validate_for a mesh whose block classification tables would
+pass MAX_CLASSIFIED_BLOCKS entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -53,7 +69,18 @@ __all__ = [
     "ring_attention",
     "dosp_limits",
     "random_problem",
+    "MAX_WORKING_SET_BYTES",
+    "MAX_CLASSIFIED_BLOCKS",
 ]
+
+_ORACLE_ROWS = 256  # query rows per oracle block
+# Size bounds, checked before anything sized by S is allocated. The oracle
+# holds a few strip-sized temporaries at once and the ring schedule a few
+# int64s per live block, so a run near either bound needs about 1 GiB.
+# Q/K/V plus one (_ORACLE_ROWS x S) oracle strip, in float64 bytes:
+MAX_WORKING_SET_BYTES = 1 << 28
+# Entries of one (S / query_chunk) x (S / kv_chunk) classification table:
+MAX_CLASSIFIED_BLOCKS = 1 << 22
 
 
 @dataclass
@@ -120,6 +147,12 @@ class RingMesh:
             raise ValueError(f"query_chunk {self.query_chunk} must divide S/P={per_device}")
         if per_device % self.kv_chunk != 0:
             raise ValueError(f"kv_chunk {self.kv_chunk} must divide S/P={per_device}")
+        blocks = (seq_len // self.query_chunk) * (seq_len // self.kv_chunk)
+        if blocks > MAX_CLASSIFIED_BLOCKS:
+            raise ValueError(
+                f"S={seq_len} with chunks {self.query_chunk}/{self.kv_chunk} makes {blocks} blocks "
+                f"to classify, more than {MAX_CLASSIFIED_BLOCKS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -160,23 +193,53 @@ def _allowed_mask(p: AttentionProblem, rows: slice, cols: slice) -> np.ndarray:
     return same_segment
 
 
+def _oracle_blocks(p: AttentionProblem):
+    """Softmax weights of each _ORACLE_ROWS-row query block over its legal key span.
+
+    Yields (rows, cols, weights), weights of shape (len(rows), len(cols)).
+    See the module docstring for the span. Each row is a full softmax over
+    its span, with masked-out pairs exactly 0.0.
+    """
+    seg = p.segment_ids
+    for start in range(0, p.seq_len, _ORACLE_ROWS):
+        rows = slice(start, min(start + _ORACLE_ROWS, p.seq_len))
+        first = int(np.searchsorted(seg, seg[start], side="left"))
+        stop = rows.stop if p.causal else int(np.searchsorted(seg, seg[rows.stop - 1], side="right"))
+        cols = slice(first, stop)
+        scores = (p.q[rows] @ p.k[cols].T) * p.scale
+        scores = np.where(_allowed_mask(p, rows, cols), scores, -np.inf)
+        scores -= scores.max(axis=1, keepdims=True)
+        w = np.exp(scores)
+        yield rows, cols, w / w.sum(axis=1, keepdims=True)
+
+
 def attention_weights(p: AttentionProblem) -> np.ndarray:
     """Full (S, S) softmax weight matrix; masked-out pairs are exactly 0.0.
 
     Every diagonal entry is legal (j = i passes both the causal and the
     segment test), so no row is ever empty.
     """
-    everything = slice(0, p.seq_len)
-    scores = (p.q @ p.k.T) * p.scale
-    scores = np.where(_allowed_mask(p, everything, everything), scores, -np.inf)
-    scores -= scores.max(axis=1, keepdims=True)
-    w = np.exp(scores)
-    return w / w.sum(axis=1, keepdims=True)
+    weights = np.zeros((p.seq_len, p.seq_len))
+    for rows, cols, w in _oracle_blocks(p):
+        weights[rows, cols] = w
+    return weights
 
 
-def exact_attention(p: AttentionProblem) -> np.ndarray:
-    """Reference full-precision attention output, (S, d)."""
-    return attention_weights(p) @ p.v
+def exact_attention(p: AttentionProblem, weights_csv: TextIO | None = None) -> np.ndarray:
+    """Reference full-precision attention output, (S, d).
+
+    With weights_csv, an open text file, the same walk also writes
+    attention_weights(p) to it in np.savetxt's format, comma-delimited,
+    one row block at a time.
+    """
+    out = np.empty_like(p.v)
+    for rows, cols, w in _oracle_blocks(p):
+        out[rows] = w @ p.v[cols]
+        if weights_csv is not None:
+            strip = np.zeros((w.shape[0], p.seq_len))
+            strip[:, cols] = w
+            np.savetxt(weights_csv, strip, delimiter=",")
+    return out
 
 
 def _chunk_table(segment_ids: np.ndarray, chunk: int) -> tuple[np.ndarray, ...]:
@@ -293,13 +356,26 @@ def random_problem(
     num_segments: int | None = None,
     causal: bool = True,
 ) -> AttentionProblem:
-    """Random packed-sequence problem with contiguous random-length segments."""
+    """Random packed-sequence problem with contiguous random-length segments.
+
+    Raises ValueError before allocating when Q/K/V plus one oracle strip
+    would take more than MAX_WORKING_SET_BYTES.
+    """
     if seq_len < 1:
         raise ValueError(f"seq_len must be >= 1, got {seq_len}")
+    working_set = 8 * seq_len * (3 * head_dim + _ORACLE_ROWS)
+    if working_set > MAX_WORKING_SET_BYTES:
+        raise ValueError(
+            f"S={seq_len}, d={head_dim} needs {working_set} bytes for Q/K/V and one oracle strip, "
+            f"more than {MAX_WORKING_SET_BYTES}"
+        )
     if num_segments is None:
         num_segments = int(rng.integers(1, max(2, seq_len // 4) + 1))
     num_segments = min(num_segments, seq_len)
-    cuts = np.sort(rng.choice(np.arange(1, seq_len), size=num_segments - 1, replace=False))
+    cuts = np.empty(0, dtype=np.int64)
+    if num_segments > 1:
+        # Same draw and stream as choosing from np.arange(1, seq_len), without building it.
+        cuts = np.sort(rng.choice(seq_len - 1, size=num_segments - 1, replace=False) + 1)
     lengths = np.diff(np.concatenate([[0], cuts, [seq_len]]))
     segment_ids = np.repeat(np.arange(num_segments), lengths)
     return AttentionProblem(

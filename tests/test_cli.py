@@ -5,13 +5,15 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from longctx import recipe
+from longctx import recipe, ringsim
 from longctx.cli import dispatch
 
 GOLDEN = Path(__file__).parent / "data" / "megabeam_manifest.json"
@@ -125,6 +127,46 @@ class TestRingsim:
         error = json.loads(captured.err)
         check_schema("error", error)
         assert error["error"]["message"] == "seq_len must be >= 1, got 0"
+
+    def test_dump_weights_bytes_match_dense_savetxt(self, capsys, tmp_path):
+        # 520 tokens span three 256-row oracle blocks; the middle document
+        # straddles both block edges.
+        dump = tmp_path / "weights.csv"
+        run_json(
+            capsys,
+            "ringsim", "--seq-len", "520", "--devices", "2", "--q-chunk", "20",
+            "--kv-chunk", "26", "--seed", "3", "--segments", "100,300,120",
+            "--dump-weights", str(dump),
+        )
+        problem = ringsim.random_problem(520, 16, np.random.default_rng(3), num_segments=1)
+        problem = dataclasses.replace(
+            problem, segment_ids=np.repeat(np.arange(3), [100, 300, 120])
+        )
+        expected = tmp_path / "expected.csv"
+        np.savetxt(expected, ringsim.attention_weights(problem), delimiter=",")
+        assert dump.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
+        "seq_len, chunk, bound",
+        [
+            (10**12, 10**12, "MAX_WORKING_SET_BYTES"),  # one block, 10^12-token Q/K/V
+            (2**30, 1, "MAX_CLASSIFIED_BLOCKS"),  # 2^60 one-token blocks
+        ],
+    )
+    def test_sizes_beyond_the_bounds_fail_before_allocating(self, capsys, seq_len, chunk, bound):
+        tracemalloc.start()
+        try:
+            error = run_domain_error(
+                capsys,
+                "ringsim", "--seq-len", str(seq_len), "--devices", "1",
+                "--q-chunk", str(chunk), "--kv-chunk", str(chunk),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert error["type"] == "ValueError"
+        assert str(getattr(ringsim, bound)) in error["message"]
+        assert peak < 2**20
 
 
 class TestMemplan:

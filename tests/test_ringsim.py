@@ -6,12 +6,15 @@ the vectorized implementations it checks.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from longctx.ringsim import (
+    MAX_CLASSIFIED_BLOCKS,
+    MAX_WORKING_SET_BYTES,
     AttentionProblem,
     RingMesh,
     _classify_blocks,
@@ -131,6 +134,59 @@ class TestExactAttention:
         rng = np.random.default_rng(11)
         p = random_problem(10, 4, rng, causal=False)
         assert np.max(np.abs(exact_attention(p) - brute_force_attention(p))) < 1e-10
+
+
+def dense_reference(p: AttentionProblem):
+    """One-shot (S, S) softmax weights and output, with no row blocking."""
+    i = np.arange(p.seq_len)
+    legal = p.segment_ids[:, None] == p.segment_ids[None, :]
+    if p.causal:
+        legal &= i[None, :] <= i[:, None]
+    scores = np.where(legal, (p.q @ p.k.T) * p.scale, -np.inf)
+    w = np.exp(scores - scores.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    return legal, w, w @ p.v
+
+
+@st.composite
+def multi_block_problems(draw):
+    """S past one 256-row oracle block, documents cut anywhere, either causal flag."""
+    S = draw(st.integers(257, 700))
+    cuts = sorted(draw(st.sets(st.integers(1, S - 1), max_size=5)))
+    lengths = np.diff([0, *cuts, S])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 8))
+    return AttentionProblem(
+        q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)), v=rng.standard_normal((S, d)),
+        segment_ids=np.repeat(np.arange(lengths.size), lengths), causal=draw(st.booleans()),
+    )
+
+
+class TestRowBlockedOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(multi_block_problems())
+    def test_matches_dense_reference(self, p):
+        legal, w_ref, out_ref = dense_reference(p)
+        w = attention_weights(p)
+        assert np.all(w[~legal] == 0.0)  # cross-document and future pairs
+        assert np.max(np.abs(w - w_ref)) < 1e-12
+        assert np.max(np.abs(exact_attention(p) - out_ref)) < 1e-12
+
+    def test_peak_memory_stays_below_s_squared(self):
+        # One 4096-token document; a dense (S, S) float64 array alone is 128 MiB.
+        rng = np.random.default_rng(0)
+        S, d = 4096, 128
+        p = AttentionProblem(
+            q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)),
+            v=rng.standard_normal((S, d)), segment_ids=np.zeros(S, dtype=np.int64),
+        )
+        tracemalloc.start()
+        try:
+            exact_attention(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestMaskSoundness:
@@ -296,6 +352,31 @@ class TestSeqLenBound:
     def test_random_problem_rejects_empty_sequence(self):
         with pytest.raises(ValueError, match="seq_len must be >= 1"):
             random_problem(0, 4, np.random.default_rng(0))
+
+    def test_random_problem_bounds_working_set(self):
+        with pytest.raises(ValueError, match=str(MAX_WORKING_SET_BYTES)):
+            random_problem(10**12, 16, np.random.default_rng(0), num_segments=1)
+
+    def test_mesh_bounds_classification_tables(self):
+        with pytest.raises(ValueError, match=str(MAX_CLASSIFIED_BLOCKS)):
+            RingMesh(1, 1, 1).validate_for(2**12)
+
+
+class TestRandomProblemDraw:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("num_segments", [2, 7, 40])
+    def test_cut_points_match_the_arange_draw(self, seed, num_segments):
+        S, d = 97, 3
+        reference = np.random.default_rng(seed)
+        cuts = np.sort(reference.choice(np.arange(1, S), size=num_segments - 1, replace=False))
+        p = random_problem(S, d, np.random.default_rng(seed), num_segments=num_segments)
+        assert np.array_equal(np.flatnonzero(np.diff(p.segment_ids)) + 1, cuts)
+        assert np.array_equal(p.q, reference.standard_normal((S, d)))  # same stream after the draw
+
+    def test_one_segment_draws_nothing(self):
+        p = random_problem(50, 4, np.random.default_rng(3), num_segments=1)
+        assert np.array_equal(p.q, np.random.default_rng(3).standard_normal((50, 4)))
+        assert not p.segment_ids.any()
 
 
 class TestDospLimits:
