@@ -1,11 +1,12 @@
 """Record perfbench end-to-end metrics for one or more checkouts in a BENCH file.
 
     python3 tools/bench_record.py --side parent=../parent --side change=. \
-        --seeds 1 2 3 --seconds 20 --out BENCH_6.json
+        --out BENCH_6.json
 
 Each ``--side LABEL=PATH`` names a source checkout; its own
 ``perfbench/run.py`` runs there with ``--trace 0``, once per workload
-listed in its ``BENCHMARK.json`` and per seed. For each (workload, seed)
+listed in its ``BENCHMARK.json`` and per seed, for the ``run_seconds``
+that file sets; all sides must set the same. For each (workload, seed)
 the sides take turns going first, so a slow stretch of the host does not
 land on one side only. Any side whose run fails or reports wrong outputs
 stops the recording with exit 1 and writes nothing.
@@ -13,9 +14,8 @@ stops the recording with exit 1 and writes nothing.
 The output holds one entry per (side, workload, metric): workload, metric,
 unit, median, IQR (third minus first quartile, inclusive method), run
 count, seeds, the per-seed values, the checkout's git SHA (and whether its
-tracked files differ from it), ``nproc`` and the run length. Entries of a
-label already in the output file are replaced; other labels are kept, so
-sides may be recorded in separate calls.
+tracked files differ from it), ``nproc`` and the run length. The output
+file is written fresh from the sides of one call.
 """
 
 from __future__ import annotations
@@ -55,11 +55,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def record(sides: dict[str, Path], seeds: list[int], seconds: int) -> list[dict]:
-    workloads = {
-        label: [w["name"] for w in json.loads((path / "BENCHMARK.json").read_text())["workloads"]]
-        for label, path in sides.items()
-    }
+def record(sides: dict[str, Path], seeds: list[int]) -> list[dict]:
+    benchmarks = {label: json.loads((path / "BENCHMARK.json").read_text()) for label, path in sides.items()}
+    lengths = {b["run_seconds"] for b in benchmarks.values()}
+    if len(lengths) != 1:
+        raise RuntimeError(f"sides set different run_seconds: {sorted(lengths)}")
+    (seconds,) = lengths
+    workloads = {label: [w["name"] for w in b["workloads"]] for label, b in benchmarks.items()}
     runs: dict[tuple[str, str], list[dict]] = {}
     labels = list(sides)
     for workload in dict.fromkeys(w for names in workloads.values() for w in names):
@@ -93,8 +95,7 @@ def record(sides: dict[str, Path], seeds: list[int], seconds: int) -> list[dict]
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", action="append", required=True, help="LABEL=CHECKOUT_PATH")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     sides = {}
@@ -104,14 +105,11 @@ def main(argv=None) -> int:
             parser.error(f"--side must look like LABEL=PATH, got {spec!r}")
         sides[label] = Path(path).resolve()
     try:
-        entries = record(sides, args.seeds, args.seconds)
+        entries = record(sides, args.seeds)
     except (RuntimeError, OSError, subprocess.CalledProcessError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 1
-    kept = []
-    if args.out.exists():
-        kept = [e for e in json.loads(args.out.read_text())["entries"] if e["side"] not in sides]
-    doc = {"harness": "perfbench/run.py --trace 0", "entries": kept + entries}
+    doc = {"harness": "perfbench/run.py --trace 0", "entries": entries}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
