@@ -36,6 +36,7 @@ import numpy as np
 
 __all__ = [
     "TOKENS_PER_WORD",
+    "MAX_HAYSTACK_TOKENS",
     "Verdict",
     "NiahCase",
     "GeneratedCase",
@@ -59,6 +60,9 @@ __all__ = [
 ]
 
 TOKENS_PER_WORD = 1.3
+# Largest haystack, checked before any draw is sized: 32 times a 512K-token
+# context, about 72 MB of document text.
+MAX_HAYSTACK_TOKENS = 1 << 24
 
 DEFAULT_NEEDLE_TEMPLATE = (
     "The special magic number mentioned in the harbor records is {payload}."
@@ -69,6 +73,11 @@ DEFAULT_QUESTION = (
 )
 
 _DIGIT_RUN = re.compile(r"[0-9]+")
+
+
+def _check_haystack_tokens(tokens: int) -> None:
+    if tokens > MAX_HAYSTACK_TOKENS:
+        raise ValueError(f"haystack_tokens={tokens} is more than MAX_HAYSTACK_TOKENS={MAX_HAYSTACK_TOKENS}")
 
 
 class Verdict(Enum):
@@ -90,6 +99,7 @@ class NiahCase:
     seed: int = 0
 
     def __post_init__(self):
+        _check_haystack_tokens(self.haystack_tokens)
         if not 0 <= self.depth_percent <= 100:
             raise ValueError(f"depth_percent must be in [0, 100], got {self.depth_percent}")
         if not self.needle_payload or not self.needle_payload.isdigit():
@@ -444,6 +454,7 @@ def run_grid(
         raise ValueError("trials must be >= 1")
     if not lengths or not depths:
         raise ValueError("lengths and depths must each hold at least one value")
+    _check_haystack_tokens(max(lengths))
     # grid_csv keys cells by (length, depth), so a repeated value would hide a column or row.
     for name, values in (("lengths", lengths), ("depths", depths)):
         if len(set(values)) != len(values):

@@ -41,8 +41,15 @@ the span changes which zeros are summed, not the result. exact_attention
 never holds an S x S array, only temporaries of at most 256 x S;
 attention_weights returns the full matrix.
 
-Simulated devices execute in a fixed sequential order, so outputs are
-bit-stable across runs.
+ring_attention folds live blocks one synchronous wave at a time, as a
+cluster would: wave (s, j) is every device's j-th KV chunk at ring step s.
+A wave holds each query chunk at most once, so its blocks touch disjoint
+rows; its full blocks share one batched kernel call and its partial
+blocks another, split at _BATCH_SCORES scores (a one-block call works on
+views, so large blocks pay no gather). Outputs are bitwise those of one
+block per call, and bit-stable: (s, j) order is each row's own fold
+order, and each batch item is the same-shape gemm and the same
+elementwise steps as a lone block.
 
 Memory is bounded before anything is allocated: random_problem refuses a
 problem whose Q/K/V plus one oracle strip would pass MAX_WORKING_SET_BYTES,
@@ -52,7 +59,7 @@ pass MAX_CLASSIFIED_BLOCKS entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
@@ -74,6 +81,7 @@ __all__ = [
 ]
 
 _ORACLE_ROWS = 256  # query rows per oracle block
+_BATCH_SCORES = 4096  # scores per ring kernel call, in blocks of at least one
 # Size bounds, checked before anything sized by S is allocated. The oracle
 # holds a few strip-sized temporaries at once and the ring schedule a few
 # int64s per live block, so a run near either bound needs about 1 GiB.
@@ -95,9 +103,9 @@ class AttentionProblem:
     causal: bool = True
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=np.float64)
-        self.k = np.asarray(self.k, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
+        self.q = np.ascontiguousarray(self.q, dtype=np.float64)
+        self.k = np.ascontiguousarray(self.k, dtype=np.float64)
+        self.v = np.ascontiguousarray(self.v, dtype=np.float64)
         self.segment_ids = np.asarray(self.segment_ids, dtype=np.int64)
         if self.q.ndim != 2:
             raise ValueError(f"q must be 2-D (S, d), got shape {self.q.shape}")
@@ -164,18 +172,25 @@ class RingStep:
 
 @dataclass
 class RingTrace:
-    """Rotation schedule log, the peer-to-peer transfer counter and block counts.
+    """Rotation schedule, the peer-to-peer transfer counter and block counts.
 
     blocks_visited counts the (query chunk x KV chunk) blocks folded into
     the running state, blocks_full the visited blocks that needed no mask
     and blocks_skipped the empty ones; visited + skipped is P^2 * nq * nkv.
+    kernel_calls counts the batched kernel calls that folded them.
     """
 
-    steps: list[RingStep] = field(default_factory=list)
+    device_count: int
     transfers: int = 0
     blocks_visited: int = 0
     blocks_full: int = 0
     blocks_skipped: int = 0
+    kernel_calls: int = 0
+
+    @property
+    def steps(self) -> list[RingStep]:
+        P = self.device_count  # the schedule is built when read
+        return [RingStep(step=s, device=d, kv_origin=(d - s) % P) for s in range(P) for d in range(P)]
 
 
 @dataclass(frozen=True)
@@ -184,13 +199,12 @@ class DospLimits:
     all_to_all_dosp: int
 
 
-def _allowed_mask(p: AttentionProblem, rows: slice, cols: slice) -> np.ndarray:
-    """Boolean mask of legal (query row, key col) pairs over two index ranges."""
-    same_segment = p.segment_ids[rows][:, None] == p.segment_ids[cols][None, :]
+def _allowed_mask(p: AttentionProblem, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Legal (query row, key col) pairs: positions (..., R) and (..., C) give (..., R, C)."""
+    allowed = p.segment_ids[rows][..., :, None] == p.segment_ids[cols][..., None, :]
     if p.causal:
-        causal = np.arange(cols.start, cols.stop)[None, :] <= np.arange(rows.start, rows.stop)[:, None]
-        return same_segment & causal
-    return same_segment
+        allowed &= cols[..., None, :] <= rows[..., :, None]
+    return allowed
 
 
 def _oracle_blocks(p: AttentionProblem):
@@ -207,7 +221,7 @@ def _oracle_blocks(p: AttentionProblem):
         stop = rows.stop if p.causal else int(np.searchsorted(seg, seg[rows.stop - 1], side="right"))
         cols = slice(first, stop)
         scores = (p.q[rows] @ p.k[cols].T) * p.scale
-        scores = np.where(_allowed_mask(p, rows, cols), scores, -np.inf)
+        scores = np.where(_allowed_mask(p, np.r_[rows], np.r_[cols]), scores, -np.inf)
         scores -= scores.max(axis=1, keepdims=True)
         w = np.exp(scores)
         yield rows, cols, w / w.sum(axis=1, keepdims=True)
@@ -266,24 +280,30 @@ def _classify_blocks(p: AttentionProblem, query_chunk: int, kv_chunk: int):
     return live, full
 
 
-def _stream_block(p, rows: slice, cols: slice, masked: bool, m, l, acc) -> None:
-    """Fold one live (query rows x key cols) block into the running state in place."""
-    scores = (p.q[rows] @ p.k[cols].T) * p.scale
-    m_old = m[rows]
+def _stream_wave(p, chunks, qi: np.ndarray, ki: np.ndarray, masked: bool, m, l, acc) -> None:
+    """Fold blocks (query chunk qi[b] x KV chunk ki[b], no qi twice) into the chunked state."""
+    q, k, v = chunks
+    qc, kc = q.shape[1], k.shape[1]
+    # A one-block batch takes basic slices, so every operand is a view, not a gathered copy.
+    qs, ks = (slice(qi[0], qi[0] + 1), slice(ki[0], ki[0] + 1)) if qi.size == 1 else (qi, ki)
+    scores = (q[qs] @ k[ks].transpose(0, 2, 1)) * p.scale
+    m_old = m[qs]
     if masked:
+        rows = (qi * qc)[:, None] + np.arange(qc)
+        cols = (ki * kc)[:, None] + np.arange(kc)
         scores = np.where(_allowed_mask(p, rows, cols), scores, -np.inf)
-        new_m = np.maximum(m_old, scores.max(axis=1))
+        new_m = np.maximum(m_old, scores.max(axis=2))
         # Rows that have seen nothing legal yet keep new_m == -inf; shift those
         # by 0 so exp(-inf) cleanly produces all-zero contributions.
         shift = np.where(np.isneginf(new_m), 0.0, new_m)
     else:
-        new_m = shift = np.maximum(m_old, scores.max(axis=1))
+        new_m = shift = np.maximum(m_old, scores.max(axis=2))
     # exp(-inf - shift) is 0, so rows with no state yet start from zero.
     alpha = np.exp(m_old - shift)
-    e = np.exp(scores - shift[:, None])
-    l[rows] = alpha * l[rows] + e.sum(axis=1)
-    acc[rows] = alpha[:, None] * acc[rows] + e @ p.v[cols]
-    m[rows] = new_m
+    e = np.exp(scores - shift[..., None])
+    l[qs] = alpha * l[qs] + e.sum(axis=2)
+    acc[qs] = alpha[..., None] * acc[qs] + e @ v[ks]
+    m[qs] = new_m
 
 
 def blockwise_attention(p: AttentionProblem, query_chunk: int, kv_chunk: int) -> np.ndarray:
@@ -302,39 +322,49 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
     its rows are finalized. Each of the P-1 rotations moves P KV blocks, so
     the trace counts P * (P - 1) peer-to-peer transfers.
 
-    Blocks are classified once up front (see the module docstring), and
-    only the live ones are visited, in schedule order: by step, then
-    device, then query chunk and KV chunk. Full blocks skip the mask.
-    Every block lies in exactly one (device, kv_origin) pair, so the
-    trace's block counts sum to P^2 * nq * nkv, with nq and nkv the query
-    and KV chunks per device partition.
+    Blocks are classified once up front and only the live ones are folded,
+    one wave (s, j) at a time, full and partial blocks in separate batched
+    calls (see the module docstring for the order and bit-identity). Every
+    block lies in exactly one (device, kv_origin) pair, so the trace's
+    block counts sum to P^2 * nq * nkv, with nq and nkv the query and KV
+    chunks per device partition.
     """
     mesh.validate_for(p.seq_len)
-    P = mesh.device_count
-    per_device = p.seq_len // P
-    qc, kc = mesh.query_chunk, mesh.kv_chunk
+    P, qc, kc, d = mesh.device_count, mesh.query_chunk, mesh.kv_chunk, p.head_dim
     live, full = _classify_blocks(p, qc, kc)
+    (n_q, n_kv), nq, nkv = live.shape, live.shape[0] // P, live.shape[1] // P
 
-    qi, ki = np.nonzero(live)
-    step = (qi // (per_device // qc) - ki // (per_device // kc)) % P
-    order = np.lexsort((ki, qi, step))  # query chunks are grouped by device
-    qi, ki = qi[order], ki[order]
+    # Wave (s, j) pairs query chunk i of device dev with KV chunk j of partition (dev - s) mod P.
+    s, dev = np.arange(P)[:, None, None, None], np.arange(P)[:, None]
+    wave = (dev, np.arange(nq), (dev - s) % P, np.arange(nkv)[:, None, None])
+    live, full = live.reshape(P, nq, P, nkv)[wave], full.reshape(P, nq, P, nkv)[wave]
+    # One row per (wave, masked) sub-batch, in fold order, over the global query chunks.
+    groups = np.stack([full, live & ~full], axis=2).reshape(-1, n_q)
+    qi = np.flatnonzero(groups)
+    wave_id = qi // (2 * n_q)  # s * nkv + j
+    qi %= n_q
+    ki = (qi // nq - wave_id // nkv) % P * nkv + wave_id % nkv
 
-    m = np.full(p.seq_len, -np.inf)
-    l = np.zeros(p.seq_len)
-    acc = np.zeros((p.seq_len, p.head_dim))
-    for q0, k0, masked in zip((qi * qc).tolist(), (ki * kc).tolist(), (~full[qi, ki]).tolist()):
-        _stream_block(p, slice(q0, q0 + qc), slice(k0, k0 + kc), masked, m, l, acc)
+    m, l, acc = np.full((n_q, qc), -np.inf), np.zeros((n_q, qc)), np.zeros((n_q, qc, d))
+    chunks = (p.q.reshape(n_q, qc, d), p.k.reshape(n_kv, kc, d), p.v.reshape(n_kv, kc, d))
+    cap = max(1, _BATCH_SCORES // (qc * kc))
+    counts = np.count_nonzero(groups, axis=1)
+    nonempty = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[nonempty]
+    for g, start, end in zip(nonempty.tolist(), (ends - counts[nonempty]).tolist(), ends.tolist()):
+        for lo in range(start, end, cap):
+            batch = slice(lo, min(lo + cap, end))
+            _stream_wave(p, chunks, qi[batch], ki[batch], g % 2 == 1, m, l, acc)
 
-    visited = int(qi.size)
     trace = RingTrace(
-        steps=[RingStep(step=s, device=d, kv_origin=(d - s) % P) for s in range(P) for d in range(P)],
+        device_count=P,
         transfers=P * (P - 1),
-        blocks_visited=visited,
+        blocks_visited=qi.size,
         blocks_full=int(np.count_nonzero(full)),
-        blocks_skipped=live.size - visited,
+        blocks_skipped=live.size - qi.size,
+        kernel_calls=int(np.sum(-(-counts // cap))),
     )
-    return acc / l[:, None], trace
+    return (acc / l[..., None]).reshape(p.seq_len, d), trace
 
 
 def dosp_limits(kv_heads: int, devices: int) -> DospLimits:

@@ -36,6 +36,7 @@ __all__ = [
     "theta_lower_bound",
     "plan_theta",
     "BOUND_SLACK",
+    "MAX_HEAD_DIM",
 ]
 
 # Candidates at least this fraction of the lower bound count as meeting it.
@@ -44,6 +45,9 @@ __all__ = [
 # setups; 20% slack keeps those in band while still rejecting bases that
 # miss the bound by a multiple.
 BOUND_SLACK = 0.8
+# Largest head dimension, checked before any per-dimension array or report
+# row is built; real models use 64 to 256.
+MAX_HEAD_DIM = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,8 @@ class RopeConfig:
             raise ValueError(f"theta_base must be finite and > 1, got {self.theta_base}")
         if self.head_dim <= 0 or self.head_dim % 2 != 0:
             raise ValueError(f"head_dim must be a positive even integer, got {self.head_dim}")
+        if self.head_dim > MAX_HEAD_DIM:
+            raise ValueError(f"head_dim={self.head_dim} is more than MAX_HEAD_DIM={MAX_HEAD_DIM}")
         if self.max_position < 1:
             raise ValueError(f"max_position must be >= 1, got {self.max_position}")
 

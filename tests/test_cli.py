@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from longctx import recipe, ringsim
+from longctx import niah, recipe, ringsim, rope
 from longctx.cli import dispatch
 
 GOLDEN = Path(__file__).parent / "data" / "megabeam_manifest.json"
@@ -501,6 +501,31 @@ class TestParserReuse:
         with pytest.raises(SystemExit) as excinfo:
             dispatch(["--no-timestamp", *grid])
         assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (("niah-gen", "--haystack-tokens", str(niah.MAX_HAYSTACK_TOKENS + 1), "--depth", "50",
+          "--payload", "7"), "MAX_HAYSTACK_TOKENS=16777216"),
+        (("niah-grid", "--lengths", f"600,{10**15}", "--depths", "50", "--stub", "echo"),
+         "MAX_HAYSTACK_TOKENS=16777216"),
+        (("rope-report", "--theta-base", "1e6", "--max-position", "100",
+          "--head-dim", str(rope.MAX_HEAD_DIM + 2)), "MAX_HEAD_DIM=65536"),
+        (("rope-plan", "--context-len", "524288", "--candidates", "1e8",
+          "--head-dim", str(2**60)), "MAX_HEAD_DIM=65536"),
+    ],
+    ids=["niah-gen", "niah-grid", "rope-report", "rope-plan"],
+)
+def test_sizes_beyond_the_bounds_fail_before_allocating(capsys, argv, bound):
+    tracemalloc.start()
+    try:
+        error = run_domain_error(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert error["type"] == "ValueError" and bound in error["message"]
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,11 @@ NaN or Infinity.
 
 Values come from a fixed pool of small, malformed, non-finite and
 beyond-float inputs. Flags that size the work (tokens, grid cells,
-threads) draw only values up to 64, so no example allocates by size. No
-argv carries --endpoint and LONGCTX_ENDPOINT is unset, so nothing is
-sent; flags that name a file to write are left out.
+threads) draw only values up to 64, or a value just beyond the flag's
+size bound, which every argv rejects before allocating anything, so no
+example allocates by size. No argv carries --endpoint and
+LONGCTX_ENDPOINT is unset, so nothing is sent; flags that name a file to
+write are left out.
 """
 
 import contextlib
@@ -25,6 +27,8 @@ import jsonschema
 from hypothesis import given, settings, strategies as st
 
 from longctx.cli import dispatch
+from longctx.niah import MAX_HAYSTACK_TOKENS
+from longctx.rope import MAX_HEAD_DIM
 
 SMALL = ("1", "2", "3", "8", "64", "-1", "0", "abc", "", "nan", "inf")
 POOL = SMALL + ("1e400", str(10**400), str(2**1100))
@@ -33,6 +37,11 @@ ANY = st.sampled_from(POOL)
 SIZE = st.sampled_from(SMALL)
 FEW = st.sampled_from(("1", "2", "3", "-1", "0", "abc"))
 FLAG = None  # a store_true flag takes no value
+# Just beyond a size bound. 2**17 tokens of Q/K/V plus one oracle strip pass
+# ringsim's MAX_WORKING_SET_BYTES at any head_dim >= 1, whatever the mesh.
+SEQ_LEN = st.sampled_from(SMALL + (str(2**17),))
+TOKENS = st.sampled_from(SMALL + (str(MAX_HAYSTACK_TOKENS + 1),))
+HEAD_DIM = st.sampled_from(POOL + (str(MAX_HEAD_DIM + 1), str(MAX_HEAD_DIM + 2)))
 
 
 def choice(*valid):
@@ -44,14 +53,14 @@ COMMANDS = {
     "census": ({"--limit": ANY}, {}),
     "rope-plan": (
         {"--context-len": ANY, "--candidates": ANY},
-        {"--head-dim": ANY},
+        {"--head-dim": HEAD_DIM},
     ),
     "rope-report": (
         {"--theta-base": ANY, "--max-position": ANY},
-        {"--head-dim": ANY},
+        {"--head-dim": HEAD_DIM},
     ),
     "ringsim": (
-        {"--seq-len": SIZE, "--devices": ANY, "--q-chunk": ANY, "--kv-chunk": ANY},
+        {"--seq-len": SEQ_LEN, "--devices": ANY, "--q-chunk": ANY, "--kv-chunk": ANY},
         {"--seed": ANY, "--head-dim": SIZE, "--segments": ANY},
     ),
     "memplan": (
@@ -69,7 +78,7 @@ COMMANDS = {
         },
     ),
     "niah-gen": (
-        {"--haystack-tokens": SIZE, "--depth": ANY, "--payload": ANY},
+        {"--haystack-tokens": TOKENS, "--depth": ANY, "--payload": ANY},
         {"--seed": ANY},
     ),
     "niah-score": (
@@ -77,7 +86,7 @@ COMMANDS = {
         {"--answer-file": ANY},
     ),
     "niah-grid": (
-        {"--lengths": SIZE, "--depths": ANY},
+        {"--lengths": TOKENS, "--depths": ANY},
         {
             "--trials": FEW,
             "--stub": choice("echo", "drop-last", "silent"),

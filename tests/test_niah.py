@@ -10,6 +10,7 @@ import pytest
 
 from longctx import niah
 from longctx.niah import (
+    MAX_HAYSTACK_TOKENS,
     ApiShape,
     ClientError,
     DropLastDigitStub,
@@ -218,6 +219,21 @@ class TestStubs:
         gen = generate_case(make_case())
         answer = DropLastDigitStub().complete(build_prompt(gen))
         assert score(gen.expected, answer).verdict is Verdict.TRUNCATED
+
+
+class TestHaystackBound:
+    def test_case_beyond_the_bound_is_rejected(self):
+        make_case(haystack_tokens=MAX_HAYSTACK_TOKENS)
+        with pytest.raises(ValueError, match=f"MAX_HAYSTACK_TOKENS={MAX_HAYSTACK_TOKENS}"):
+            make_case(haystack_tokens=MAX_HAYSTACK_TOKENS + 1)
+
+    def test_grid_rejects_the_length_before_running_any_cell(self):
+        class NeverCalled:
+            def complete(self, prompt, max_tokens=64, temperature=0.0):
+                raise AssertionError("a grid cell ran")
+
+        with pytest.raises(ValueError, match="MAX_HAYSTACK_TOKENS"):
+            run_grid([600, MAX_HAYSTACK_TOKENS + 1], [50], 1, NeverCalled())
 
 
 class TestGrid:

@@ -17,6 +17,7 @@ from longctx.ringsim import (
     MAX_WORKING_SET_BYTES,
     AttentionProblem,
     RingMesh,
+    RingStep,
     _classify_blocks,
     attention_weights,
     blockwise_attention,
@@ -342,6 +343,111 @@ class TestBlockClassification:
         out, trace = ring_attention(p, RingMesh(4, 2, 2))
         assert (trace.blocks_visited, trace.blocks_full, trace.blocks_skipped) == (20, 12, 44)
         assert max_rel_error(out, exact_attention(p)) < 1e-6
+
+
+def per_block_ring(p: AttentionProblem, mesh: RingMesh) -> np.ndarray:
+    """The ring folded one block per call, in schedule order: by step, then query chunk, then KV chunk.
+
+    This is the unbatched form of ring_attention's kernel, with its own mask;
+    batching must reproduce it bit for bit.
+    """
+    P, qc, kc = mesh.device_count, mesh.query_chunk, mesh.kv_chunk
+    per_device = p.seq_len // P
+    live, full = _classify_blocks(p, qc, kc)
+    qi, ki = np.nonzero(live)
+    step = (qi // (per_device // qc) - ki // (per_device // kc)) % P
+    order = np.lexsort((ki, qi, step))
+    m = np.full(p.seq_len, -np.inf)
+    l = np.zeros(p.seq_len)
+    acc = np.zeros((p.seq_len, p.head_dim))
+    for q0, k0 in zip(qi[order] * qc, ki[order] * kc):
+        rows, cols = slice(q0, q0 + qc), slice(k0, k0 + kc)
+        scores = (p.q[rows] @ p.k[cols].T) * p.scale
+        m_old = m[rows]
+        if full[q0 // qc, k0 // kc]:
+            new_m = shift = np.maximum(m_old, scores.max(axis=1))
+        else:
+            legal = p.segment_ids[rows][:, None] == p.segment_ids[cols][None, :]
+            if p.causal:
+                legal &= np.arange(k0, k0 + kc)[None, :] <= np.arange(q0, q0 + qc)[:, None]
+            scores = np.where(legal, scores, -np.inf)
+            new_m = np.maximum(m_old, scores.max(axis=1))
+            shift = np.where(np.isneginf(new_m), 0.0, new_m)
+        alpha = np.exp(m_old - shift)
+        e = np.exp(scores - shift[:, None])
+        l[rows] = alpha * l[rows] + e.sum(axis=1)
+        acc[rows] = alpha[:, None] * acc[rows] + e @ p.v[cols]
+        m[rows] = new_m
+    return acc / l[:, None]
+
+
+# (query_chunk, kv_chunk) with 2,048, 4,096 and 8,192 scores per block: below, at and
+# above the kernel's 4,096-score batch, so batches of two, and one-block views.
+CAP_CHUNKS = [(32, 64), (64, 32), (64, 64), (64, 128), (128, 64)]
+
+
+@st.composite
+def packed_ring_problems(draw):
+    """Packed documents on a dividing mesh, either causal flag; small chunks or CAP_CHUNKS."""
+    P = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        per_device = draw(st.integers(1, 16))
+        divisors = [c for c in range(1, per_device + 1) if per_device % c == 0]
+        qc, kc = draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors))
+    else:
+        per_device, (qc, kc) = 128, draw(st.sampled_from(CAP_CHUNKS))
+    S = P * per_device
+    cuts = sorted(draw(st.sets(st.integers(1, S - 1), max_size=6))) if S > 1 else []
+    lengths = np.diff([0, *cuts, S])
+    d = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = AttentionProblem(
+        q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)), v=rng.standard_normal((S, d)),
+        segment_ids=np.repeat(np.arange(lengths.size), lengths), causal=draw(st.booleans()),
+    )
+    return p, RingMesh(P, qc, kc)
+
+
+class TestBatchedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(packed_ring_problems())
+    def test_bit_identical_to_one_block_per_call(self, case):
+        p, mesh = case
+        out, trace = ring_attention(p, mesh)
+        assert np.array_equal(out, per_block_ring(p, mesh))
+        assert 1 <= trace.kernel_calls <= trace.blocks_visited
+
+    def test_one_call_per_wave_and_kind_at_one_token_chunks(self):
+        # S = P: each device holds one token, so every step is one wave.
+        P = 256
+        p = random_problem(P, 4, np.random.default_rng(21))
+        out, trace = ring_attention(p, RingMesh(P, 1, 1))
+        assert trace.kernel_calls <= 2 * P
+        assert trace.blocks_visited == np.count_nonzero(_classify_blocks(p, 1, 1)[0])
+        assert max_rel_error(out, exact_attention(p)) < 1e-6
+
+    @pytest.mark.parametrize("P", [1, 3, 8])
+    def test_lazy_schedule_equals_eager_list(self, P):
+        _, trace = ring_attention(two_segment_problem(24, 2, seed=P), RingMesh(P, 1, 1))
+        eager = [RingStep(step=s, device=d, kv_origin=(d - s) % P) for s in range(P) for d in range(P)]
+        assert trace.steps == eager
+
+    def test_peak_memory_at_a_million_live_blocks(self):
+        # One non-causal document in 2 x 2 chunks: all (2048 / 2)^2 blocks are live.
+        S, d = 2048, 8
+        rng = np.random.default_rng(22)
+        p = AttentionProblem(
+            q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)), v=rng.standard_normal((S, d)),
+            segment_ids=np.zeros(S, dtype=np.int64), causal=False,
+        )
+        tracemalloc.start()
+        try:
+            _, trace = ring_attention(p, RingMesh(8, 2, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.blocks_visited == trace.blocks_full == 1 << 20
+        assert peak < 96 * 2**20
 
 
 class TestSeqLenBound:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from longctx.rope import (
+    MAX_HEAD_DIM,
     BOUND_SLACK,
     RopeConfig,
     ThetaClass,
@@ -49,6 +50,11 @@ class TestConfig:
     def test_rejects_nonpositive_max_position(self):
         with pytest.raises(ValueError):
             RopeConfig(theta_base=10.0, head_dim=2, max_position=0)
+
+    def test_head_dim_bound(self):
+        assert cfg(d=MAX_HEAD_DIM).head_dim == MAX_HEAD_DIM
+        with pytest.raises(ValueError, match=f"MAX_HEAD_DIM={MAX_HEAD_DIM}"):
+            cfg(d=MAX_HEAD_DIM + 2)
 
 
 class TestInverseFrequencies:

@@ -1,15 +1,19 @@
-"""Record perfbench end-to-end metrics for one or more checkouts in a BENCH file.
+"""Record perfbench metrics for one or more checkouts in a BENCH file.
 
     python3 tools/bench_record.py --side parent=../parent --side change=. \
         --out BENCH_6.json
+    python3 tools/bench_record.py --side parent=../parent --side change=. \
+        --workload ring_sweep --trace --seeds 1 2 3 --out BENCH_trace.json
 
 Each ``--side LABEL=PATH`` names a source checkout; its own
 ``perfbench/run.py`` runs there with ``--trace 0``, once per workload
-listed in its ``BENCHMARK.json`` and per seed, for the ``run_seconds``
-that file sets; all sides must set the same. For each (workload, seed)
-the sides take turns going first, so a slow stretch of the host does not
-land on one side only. Any side whose run fails or reports wrong outputs
-stops the recording with exit 1 and writes nothing.
+listed in its ``BENCHMARK.json`` (or only those named by ``--workload``)
+and per seed, for the ``run_seconds`` that file sets; all sides must set
+the same. ``--trace`` adds a ``--trace 1`` run after each of those and
+records its per-layer metrics too. For each (workload, seed) the sides
+take turns going first, so a slow stretch of the host does not land on
+one side only. Any side whose run fails or reports wrong outputs stops
+the recording with exit 1 and writes nothing.
 
 The output holds one entry per (side, workload, metric): workload, metric,
 unit, median, IQR (third minus first quartile, inclusive method), run
@@ -35,10 +39,10 @@ def _git(checkout: Path, *argv: str) -> str:
     ).stdout.strip()
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One ``perfbench/run.py --trace 0`` run; returns its final JSON line."""
+def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """One ``perfbench/run.py`` run; returns its final JSON line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]  # fmt: skip
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]  # fmt: skip
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}: {proc.stderr.strip()}")
@@ -55,22 +59,30 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def record(sides: dict[str, Path], seeds: list[int]) -> list[dict]:
+def record(sides: dict[str, Path], seeds: list[int], only: list[str] | None, trace: bool) -> list[dict]:
     benchmarks = {label: json.loads((path / "BENCHMARK.json").read_text()) for label, path in sides.items()}
     lengths = {b["run_seconds"] for b in benchmarks.values()}
     if len(lengths) != 1:
         raise RuntimeError(f"sides set different run_seconds: {sorted(lengths)}")
     (seconds,) = lengths
     workloads = {label: [w["name"] for w in b["workloads"]] for label, b in benchmarks.items()}
+    unknown = set(only or ()) - {w for names in workloads.values() for w in names}
+    if unknown:
+        raise RuntimeError(f"no side lists workload {sorted(unknown)}")
     runs: dict[tuple[str, str], list[dict]] = {}
     labels = list(sides)
     for workload in dict.fromkeys(w for names in workloads.values() for w in names):
+        if only and workload not in only:
+            continue
         for i, seed in enumerate(seeds):
             shift = i % len(labels)
             for label in labels[shift:] + labels[:shift]:
                 if workload not in workloads[label]:
                     continue
-                result = run_perfbench(sides[label], workload, seed, seconds)
+                result = run_perfbench(sides[label], workload, seed, seconds, 0)
+                if trace:
+                    traced = run_perfbench(sides[label], workload, seed, seconds, 1)
+                    result["metrics"].update(traced["metrics"])
                 runs.setdefault((label, workload), []).append(result)
                 print(f"{label} {workload} seed {seed}: "
                       f"{result['metrics']['ops_per_s']['value']:.4g} ops/s", file=sys.stderr)  # fmt: skip
@@ -96,6 +108,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", action="append", required=True, help="LABEL=CHECKOUT_PATH")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
+    parser.add_argument("--workload", action="append", help="record only this workload (repeatable)")
+    parser.add_argument("--trace", action="store_true", help="also record per-layer metrics (--trace 1)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     sides = {}
@@ -105,11 +119,12 @@ def main(argv=None) -> int:
             parser.error(f"--side must look like LABEL=PATH, got {spec!r}")
         sides[label] = Path(path).resolve()
     try:
-        entries = record(sides, args.seeds)
+        entries = record(sides, args.seeds, args.workload, args.trace)
     except (RuntimeError, OSError, subprocess.CalledProcessError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 1
-    doc = {"harness": "perfbench/run.py --trace 0", "entries": entries}
+    harness = "perfbench/run.py --trace 0" + (", then --trace 1" if args.trace else "")
+    doc = {"harness": harness, "entries": entries}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
