@@ -45,10 +45,9 @@ ring_attention folds live blocks one synchronous wave at a time, as a
 cluster would: wave (s, j) is every device's j-th KV chunk at ring step s.
 A wave holds each query chunk at most once, so its blocks touch disjoint
 rows; its full blocks share one batched kernel call and its partial
-blocks another, split at _BATCH_SCORES scores (a one-block call works on
-views, so large blocks pay no gather). Outputs are bitwise those of one
-block per call, and bit-stable: (s, j) order is each row's own fold
-order, and each batch item is the same-shape gemm and the same
+blocks another, split at _BATCH_SCORES scores. Outputs are bitwise those
+of one block per call, and bit-stable: (s, j) order is each row's own
+fold order, and each batch item is the same-shape gemm and the same
 elementwise steps as a lone block.
 
 Memory is bounded before anything is allocated: random_problem refuses a
@@ -221,7 +220,8 @@ def _oracle_blocks(p: AttentionProblem):
         stop = rows.stop if p.causal else int(np.searchsorted(seg, seg[rows.stop - 1], side="right"))
         cols = slice(first, stop)
         scores = (p.q[rows] @ p.k[cols].T) * p.scale
-        scores = np.where(_allowed_mask(p, np.r_[rows], np.r_[cols]), scores, -np.inf)
+        legal = _allowed_mask(p, np.arange(start, rows.stop), np.arange(first, stop))
+        scores = np.where(legal, scores, -np.inf)
         scores -= scores.max(axis=1, keepdims=True)
         w = np.exp(scores)
         yield rows, cols, w / w.sum(axis=1, keepdims=True)
