@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 domain error (JSON error object on stderr),
 2 usage error (argparse). Success output on stdout is exactly one JSON
 document or one CSV table. Identical argv produce byte-identical output
 when --no-timestamp is given; otherwise a timestamp field is included.
+_print_json is the one JSON writer. niah-gen's inline document (megabytes)
+is never passed to json.dumps: its filler is JSON-plain by niah's invariant,
+so it is written verbatim around the escaped needle, byte-equal to json.dumps.
 
 The argparse tree, built once at import, is the only routing table: each
 subparser binds its handler with set_defaults(func=...). Handlers raise
@@ -29,10 +32,16 @@ from . import memplan, niah, recipe, ringsim, rope, softnum
 SCHEMA_VERSION = recipe.SCHEMA_VERSION
 
 
-def _print_json(doc: dict, args) -> None:
+def _print_json(doc: dict, args, verbatim: tuple[str, tuple[str, ...]] | None = None) -> None:
+    """verbatim = (key, pieces): doc[key] is "", written as the pieces, already JSON string content."""
     if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    text = json.dumps(doc, indent=2) + "\n"
+    if verbatim is not None:
+        # Raw newlines and quotes are structure, so this matches only the top-level key.
+        head, marker, text = text.partition(f'\n  {json.dumps(verbatim[0])}: "')
+        sys.stdout.writelines((head, marker, *verbatim[1]))
+    sys.stdout.write(text)
 
 
 def _parse_number_list(text: str, caster):
@@ -204,6 +213,7 @@ def _cmd_niah_gen(args) -> None:
         seed=args.seed,
     )
     gen = niah.generate_case(case)
+    verbatim = None
     doc = {
         "command": "niah-gen",
         "haystack_tokens": args.haystack_tokens,
@@ -220,8 +230,12 @@ def _cmd_niah_gen(args) -> None:
             fh.write(gen.document)
         doc["document_file"] = args.out
     else:
-        doc["document"] = gen.document
-    _print_json(doc, args)
+        # The filler is JSON-plain, so only the needle needs escaping.
+        needle = case.needle_template.format(payload=case.needle_payload)
+        start, end = gen.needle_char_offset, gen.needle_char_offset + len(needle)
+        doc["document"] = ""
+        verbatim = ("document", (gen.document[:start], json.dumps(needle)[1:-1], gen.document[end:]))
+    _print_json(doc, args, verbatim)
 
 
 def _cmd_niah_score(args) -> None:

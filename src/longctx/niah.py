@@ -8,7 +8,9 @@ empty answers.
 
 Filler text ships with the package and contains no digits, so the payload
 occurs exactly once in every generated document and any digits a model
-returns came from its answer, not the haystack. Token counts use a
+returns came from its answer, not the haystack. Filler is also JSON-plain
+(printable ASCII with no quote or backslash), so ``json.dumps`` writes a
+document verbatim everywhere but in its needle. Token counts use a
 whitespace-word * 1.3 approximation by default; pass a tokenizer callable
 (text -> token count) to size documents against a real vocabulary.
 
@@ -20,8 +22,8 @@ for testing grids offline.
 
 from __future__ import annotations
 
+import collections
 import functools
-import itertools
 import json
 import re
 import time
@@ -102,8 +104,8 @@ class NiahCase:
         _check_haystack_tokens(self.haystack_tokens)
         if not 0 <= self.depth_percent <= 100:
             raise ValueError(f"depth_percent must be in [0, 100], got {self.depth_percent}")
-        if not self.needle_payload or not self.needle_payload.isdigit():
-            raise ValueError("needle_payload must be a nonempty digit string")
+        if not (self.needle_payload.isascii() and self.needle_payload.isdigit()):
+            raise ValueError("needle_payload must be a nonempty string of ASCII digits")
         if "{payload}" not in self.needle_template:
             raise ValueError("needle_template must contain a {payload} placeholder")
 
@@ -137,10 +139,18 @@ def estimate_tokens(text: str, tokenizer=None) -> float:
 
 @functools.cache
 def filler_sentences() -> tuple[str, ...]:
-    """Bundled digit-free filler sentences, one per line; read once, immutable."""
+    """Bundled filler sentences, digit-free and JSON-plain, one per line; read once, immutable."""
     text = resources.files("longctx").joinpath("data/filler.txt").read_text(encoding="utf-8")
     sentences = [line.strip() for line in text.splitlines() if line.strip()]
-    return tuple(s for s in sentences if not _DIGIT_RUN.search(s))
+    return tuple(s for s in sentences if not _DIGIT_RUN.search(s) and json.dumps(s)[1:-1] == s)
+
+
+@functools.cache
+def _filler_tables() -> tuple[np.ndarray, ...]:
+    """The pool as an object array, its default token costs, word counts and lengths."""
+    pool = filler_sentences()
+    words = np.array([len(s.split()) for s in pool])
+    return np.array(pool, dtype=object), words * TOKENS_PER_WORD, words, np.array(list(map(len, pool)))
 
 
 def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
@@ -169,7 +179,9 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
         )
 
     pool = filler_sentences()
-    costs = np.array([estimate_tokens(s, tokenizer) for s in pool])
+    sentences, costs, pool_words, pool_chars = _filler_tables()
+    if tokenizer is not None:
+        costs = np.array([estimate_tokens(s, tokenizer) for s in pool])
     if not (costs > 0).any():
         raise ValueError("no filler sentence has a positive token cost, so the haystack cannot grow")
     mean_cost = costs[costs > 0].mean()
@@ -193,7 +205,7 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
     # The padding sentence is the next draw in the stream.
     spare_pick = block[stop + 1] if stop + 1 < block.size else rng.integers(0, len(pool))
     drawn = np.concatenate(picks)
-    chosen = [pool[i] for i in drawn.tolist()]
+    chosen = sentences[drawn].tolist()
 
     # Pad word by word from the spare sentence until within 2% under budget.
     spare = pool[int(spare_pick)].rstrip(".").split()
@@ -210,12 +222,14 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
         chosen.append(" ".join(pad) + ".")
 
     insert_at = min(len(chosen), round(case.depth_percent / 100.0 * len(chosen)))
-    document = " ".join(chosen[:insert_at] + [needle] + chosen[insert_at:])
-    # Each sentence before the needle is followed by one separating space.
-    offset = sum(map(len, chosen[:insert_at])) + insert_at
+    # One space follows each sentence before the needle, the pad sentence only if the needle is last.
+    offset = int(pool_chars[drawn[:insert_at]].sum()) + insert_at
+    if insert_at > drawn.size:
+        offset += len(chosen[-1])
+    chosen.insert(insert_at, needle)
+    document = " ".join(chosen)
     if tokenizer is None:
         # str.split is additive over " ".join, so this is len(document.split()).
-        pool_words = np.array([len(sentence.split()) for sentence in pool])
         words = int(pool_words[drawn].sum()) + len(pad) + len(needle.split())
         estimated = words * TOKENS_PER_WORD
     else:
@@ -251,8 +265,8 @@ def score(expected: str, answer: str, case: NiahCase | None = None) -> NiahResul
     merely starts with the payload's digits is a wrong answer, not a
     truncation.
     """
-    if not expected or not expected.isdigit():
-        raise ValueError("expected must be a nonempty digit string")
+    if not (expected.isascii() and expected.isdigit()):
+        raise ValueError("expected must be a nonempty string of ASCII digits")
     runs = _DIGIT_RUN.findall(answer)
     if not runs:
         return NiahResult(Verdict.EMPTY, 0, expected, answer, case)
@@ -428,6 +442,21 @@ def _call_with_retries(client, prompt, max_tokens, attempts, backoff):
             time.sleep(backoff * 2**attempt)
 
 
+def _windowed_map(pool, fn, items, window: int):
+    """pool.map in item order, but submitting at most `window` items ahead rather than all."""
+    pending = collections.deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) >= window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def run_grid(
     lengths,
     depths,
@@ -479,10 +508,11 @@ def run_grid(
         return (li, di, trial, case, score(gen.expected, answer, case), None)
 
     # Both maps yield outcomes in task order, which is (li, di, trial) order.
-    tasks = itertools.product(range(len(lengths)), range(len(depths)), range(trials))
+    # A generator: itertools.product would first make range(trials) a tuple.
+    tasks = ((li, di, t) for li in range(len(lengths)) for di in range(len(depths)) for t in range(trials))
     if max_concurrency > 1:
         with ThreadPoolExecutor(max_workers=max_concurrency) as pool:
-            outcomes = list(pool.map(run_one, tasks))
+            outcomes = list(_windowed_map(pool, run_one, tasks, 2 * max_concurrency))
     else:
         outcomes = map(run_one, tasks)
 

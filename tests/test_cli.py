@@ -1,7 +1,9 @@
 """CLI contract: schemas, exit codes, determinism, and flagship outputs."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from longctx import niah, recipe, ringsim, rope
 from longctx.cli import dispatch
@@ -251,6 +254,47 @@ class TestNiah:
         assert doc["document_file"] == str(out)
         assert "document" not in doc
         assert "123456" in out.read_text(encoding="utf-8")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tokens=st.integers(45, 600_000),
+        depth=st.floats(0, 100) | st.sampled_from([0.0, 100.0]),
+        payload=st.text("0123456789", min_size=1, max_size=12),
+        seed=st.integers(0, 2**31),
+        timestamp=st.booleans(),
+    )
+    def test_gen_output_is_what_json_dumps_writes(self, tokens, depth, payload, seed, timestamp):
+        # The document is written verbatim, not through json.dumps; the bytes must not differ.
+        out = io.StringIO()
+        argv = ["niah-gen", "--haystack-tokens", str(tokens), "--depth", repr(depth),
+                "--payload", payload, "--seed", str(seed)]  # fmt: skip
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = dispatch(argv if timestamp else ["--no-timestamp", *argv])
+        if code == 1:  # too small for needle plus question
+            assert out.getvalue() == ""
+            return
+        doc = json.loads(out.getvalue())
+        assert code == 0 and ("timestamp" in doc) == timestamp
+        assert json.dumps(doc, indent=2) + "\n" == out.getvalue()
+
+    @pytest.mark.parametrize("flag", ["--payload", "--expected"])
+    def test_non_ascii_digits_are_domain_errors(self, capsys, flag):
+        argv = {
+            "--payload": ("niah-gen", "--haystack-tokens", "600", "--depth", "50", "--payload", "²³"),
+            "--expected": ("niah-score", "--expected", "²³", "--answer", "²³"),
+        }[flag]
+        error = run_domain_error(capsys, *argv)
+        assert error["type"] == "ValueError" and "ASCII digits" in error["message"]
+
+    @pytest.mark.parametrize("concurrency", ["1", "2"])
+    def test_grid_with_endless_trials_fails_fast(self, capsys, concurrency):
+        # The first task fails. Tasks are built lazily and the pool takes a bounded
+        # window of them, so none of the 2**60 is built ahead.
+        error = run_domain_error(
+            capsys, "niah-grid", "--lengths", "8", "--depths", "0", "--stub", "echo",
+            "--trials", str(2**60), "--concurrency", concurrency,
+        )
+        assert "cannot hold needle" in error["message"]
 
     def test_score_truncated_example(self, capsys):
         doc = run_json(

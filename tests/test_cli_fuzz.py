@@ -6,8 +6,8 @@ raised on the way would reach stderr ahead of that JSON, so it breaks the
 contract too. A JSON document on stdout at exit 0 is strict JSON, with no
 NaN or Infinity.
 
-Values come from a fixed pool of small, malformed, non-finite and
-beyond-float inputs. Flags that size the work (tokens, grid cells,
+Values come from a fixed pool of small, malformed, non-finite,
+non-ASCII-digit and beyond-float inputs. Flags that size the work (tokens, grid cells,
 threads) draw only values up to 64, or a value just beyond the flag's
 size bound, which every argv rejects before allocating anything, so no
 example allocates by size. No argv carries --endpoint and
@@ -31,7 +31,8 @@ from longctx.niah import MAX_HAYSTACK_TOKENS
 from longctx.rope import MAX_HEAD_DIM
 
 SMALL = ("1", "2", "3", "8", "64", "-1", "0", "abc", "", "nan", "inf")
-POOL = SMALL + ("1e400", str(10**400), str(2**1100))
+# "²³" and "٣" pass str.isdigit; int() reads "٣" as 3 but rejects "²³".
+POOL = SMALL + ("1e400", str(10**400), str(2**1100), "²³", "٣")
 
 ANY = st.sampled_from(POOL)
 SIZE = st.sampled_from(SMALL)

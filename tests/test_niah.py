@@ -6,11 +6,14 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from longctx import niah
 from longctx.niah import (
     MAX_HAYSTACK_TOKENS,
+    TOKENS_PER_WORD,
     ApiShape,
     ClientError,
     DropLastDigitStub,
@@ -46,6 +49,11 @@ class TestFiller:
     def test_filler_is_read_once_and_immutable(self):
         pool = filler_sentences()
         assert isinstance(pool, tuple) and filler_sentences() is pool
+
+    def test_filler_is_json_plain(self):
+        # The CLI writes documents into its JSON verbatim on this invariant.
+        for sentence in filler_sentences():
+            assert json.dumps(sentence) == f'"{sentence}"'
 
     def test_filler_is_plentiful_and_varied(self):
         pool = filler_sentences()
@@ -124,6 +132,13 @@ class TestGenerate:
         with pytest.raises(ValueError):
             make_case(needle_payload="12a4")
 
+    @pytest.mark.parametrize("payload", ["²³", "٣٤", "１２"])
+    def test_non_ascii_digit_payload_rejected(self, payload):
+        # str.isdigit accepts these, but no [0-9] run could ever find them.
+        assert payload.isdigit()
+        with pytest.raises(ValueError, match="ASCII digits"):
+            make_case(needle_payload=payload)
+
 
 def _quarter_chars(text):
     return (len(text) + 3) // 4
@@ -164,6 +179,98 @@ class TestGenerateGolden:
         assert gen.needle_sentence_index == index
         assert gen.needle_char_offset == offset
         assert gen.estimated_tokens == estimate  # bit-exact, not approximate
+
+
+def reference_generate_case(case: NiahCase, tokenizer=None):
+    """generate_case before the cached filler tables: per-call costs, a per-pick
+    list, the needle spliced in by slicing, and the offset summed over strings.
+
+    Kept as the reference that the cached form must reproduce field for field.
+    """
+    needle = case.needle_template.format(payload=case.needle_payload)
+    needle_cost = estimate_tokens(needle, tokenizer)
+    question_cost = estimate_tokens(case.question, tokenizer)
+    if case.haystack_tokens < needle_cost + question_cost:
+        raise ValueError("cannot hold needle plus question")
+
+    pool = filler_sentences()
+    costs = np.array([estimate_tokens(s, tokenizer) for s in pool])
+    mean_cost = costs[costs > 0].mean()
+    budget = case.haystack_tokens - needle_cost
+
+    rng = np.random.default_rng(case.seed)
+    picks = []
+    total = 0.0
+    while True:
+        block = rng.integers(0, len(pool), size=64 + int((budget - total) / mean_cost))
+        running = np.cumsum(np.concatenate(([total], costs[block])))
+        over = np.flatnonzero(running[1:] > budget)
+        if over.size:
+            break
+        picks.append(block)
+        total = float(running[-1])
+    stop = int(over[0])
+    picks.append(block[:stop])
+    total = float(running[stop])
+    spare_pick = block[stop + 1] if stop + 1 < block.size else rng.integers(0, len(pool))
+    drawn = np.concatenate(picks)
+    chosen = [pool[i] for i in drawn.tolist()]
+
+    spare = pool[int(spare_pick)].rstrip(".").split()
+    pad = []
+    for word in spare:
+        if total >= 0.98 * budget:
+            break
+        word_cost = estimate_tokens(word, tokenizer)
+        if total + word_cost > budget:
+            break
+        pad.append(word)
+        total += word_cost
+    if pad:
+        chosen.append(" ".join(pad) + ".")
+
+    insert_at = min(len(chosen), round(case.depth_percent / 100.0 * len(chosen)))
+    document = " ".join(chosen[:insert_at] + [needle] + chosen[insert_at:])
+    offset = sum(map(len, chosen[:insert_at])) + insert_at
+    if tokenizer is None:
+        pool_words = np.array([len(sentence.split()) for sentence in pool])
+        words = int(pool_words[drawn].sum()) + len(pad) + len(needle.split())
+        estimated = words * TOKENS_PER_WORD
+    else:
+        estimated = estimate_tokens(document, tokenizer)
+    return niah.GeneratedCase(
+        case=case,
+        document=document,
+        question=case.question,
+        expected=case.needle_payload,
+        needle_sentence_index=insert_at,
+        needle_char_offset=offset,
+        estimated_tokens=estimated,
+    )
+
+
+class TestGenerateMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tokens=st.integers(45, 600_000),
+        depth=st.floats(0, 100) | st.sampled_from([0.0, 100.0]),
+        payload=st.text("0123456789", min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        template=st.sampled_from([niah.DEFAULT_NEEDLE_TEMPLATE, 'She said "{payload}" by the ☃.']),
+        tokenizer=st.sampled_from([None, _quarter_chars]),
+    )
+    def test_fields_equal_the_reference(self, tokens, depth, payload, seed, template, tokenizer):
+        case = NiahCase(
+            haystack_tokens=tokens, depth_percent=depth, needle_payload=payload,
+            needle_template=template, seed=seed,
+        )
+        try:
+            expected = reference_generate_case(case, tokenizer)
+        except ValueError:  # too small for needle plus question
+            with pytest.raises(ValueError, match="cannot hold needle"):
+                generate_case(case, tokenizer)
+            return
+        assert generate_case(case, tokenizer) == expected
 
 
 class TestScore:
@@ -207,6 +314,11 @@ class TestScore:
             score("", "x")
         with pytest.raises(ValueError):
             score("12x", "x")
+
+    def test_rejects_non_ascii_digit_expected(self):
+        # Before the check, this returned EMPTY: [0-9]+ never matches the payload.
+        with pytest.raises(ValueError, match="ASCII digits"):
+            score("²³", "²³")
 
 
 class TestStubs:
@@ -286,6 +398,16 @@ class TestGrid:
         a = run_grid([600], [0, 100], 2, EchoStub(), base_seed=3, max_concurrency=1)
         b = run_grid([600], [0, 100], 2, EchoStub(), base_seed=3, max_concurrency=4)
         assert a.details == b.details
+
+    def test_pool_submits_a_bounded_window_ahead(self, monkeypatch):
+        # Each submitted task draws its payload first, so the draws count the tasks
+        # submitted; the first one fails, and no task beyond the window is built.
+        calls = []
+        original = niah._payload_for
+        monkeypatch.setattr(niah, "_payload_for", lambda rng: calls.append(1) or original(rng))
+        with pytest.raises(ValueError, match="cannot hold needle"):
+            run_grid([8], [0], 1000, EchoStub(), max_concurrency=2)
+        assert 1 <= len(calls) <= 4
 
     def test_flaky_client_retries_and_succeeds(self):
         class Flaky:

@@ -20,6 +20,11 @@ unit, median, IQR (third minus first quartile, inclusive method), run
 count, seeds, the per-seed values, the checkout's git SHA (and whether its
 tracked files differ from it), ``nproc`` and the run length. The output
 file is written fresh from the sides of one call.
+
+With two or more sides, stderr then gets one line per workload,
+end-to-end metric and later side: the first side's median, the later
+side's, their ratio, and in how many seeds the later side did better, in
+the direction ``BENCHMARK.json`` calls better (a tie is not a win).
 """
 
 from __future__ import annotations
@@ -104,6 +109,29 @@ def record(sides: dict[str, Path], seeds: list[int], only: list[str] | None, tra
     return entries
 
 
+def pairwise_summary(entries: list[dict], end_to_end: list[dict]) -> list[str]:
+    """Lines comparing each later side with the first, seed by seed, per end-to-end metric."""
+    by_key = {(e["side"], e["workload"], e["metric"]): e for e in entries}
+    first, *later_sides = dict.fromkeys(e["side"] for e in entries)
+    lines = []
+    for workload in dict.fromkeys(e["workload"] for e in entries):
+        for metric in end_to_end:
+            base = by_key.get((first, workload, metric["name"]))
+            for later in later_sides:
+                other = by_key.get((later, workload, metric["name"]))
+                if base is None or other is None:
+                    continue
+                sign = 1 if metric["better"] == "higher" else -1
+                wins = sum(sign * (b - a) > 0 for a, b in zip(base["values"], other["values"]))
+                ratio = other["median"] / base["median"] if base["median"] else float("nan")
+                lines.append(
+                    f"{workload} {metric['name']}: {first} {base['median']:.4g}, {later} "
+                    f"{other['median']:.4g} (x{ratio:.3f}); {later} better in {wins} of "
+                    f"{len(base['values'])} seeds"
+                )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", action="append", required=True, help="LABEL=CHECKOUT_PATH")
@@ -126,6 +154,9 @@ def main(argv=None) -> int:
     harness = "perfbench/run.py --trace 0" + (", then --trace 1" if args.trace else "")
     doc = {"harness": harness, "entries": entries}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    end_to_end = json.loads((next(iter(sides.values())) / "BENCHMARK.json").read_text())["end_to_end"]
+    for line in pairwise_summary(entries, end_to_end):
+        print(line, file=sys.stderr)
     return 0
 
 
