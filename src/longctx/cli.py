@@ -4,14 +4,17 @@ Exit codes: 0 success, 1 domain error (JSON error object on stderr),
 2 usage error (argparse). Success output on stdout is exactly one JSON
 document or one CSV table. Identical argv produce byte-identical output
 when --no-timestamp is given; otherwise a timestamp field is included.
-_print_json is the one JSON writer. niah-gen's inline document (megabytes)
-is never passed to json.dumps: its filler is JSON-plain by niah's invariant,
-so it is written verbatim around the escaped needle, byte-equal to json.dumps.
 
 The argparse tree, built once at import, is the only routing table: each
-subparser binds its handler with set_defaults(func=...). Handlers raise
-on bad input, and the one except clause in dispatch turns every domain
-error into the JSON error object and exit 1.
+subparser binds its handler with set_defaults(func=...). A handler returns
+what it prints and never touches stdout: a dict for a JSON document, a str
+for CSV or manifest text, or None when it wrote to a file. dispatch makes
+the one write, through _render. A tuple value in a returned dict holds
+pieces of JSON string content, written verbatim: niah-gen's inline document
+(megabytes) is never passed to json.dumps, since its filler is JSON-plain by
+niah's invariant and only the needle needs escaping. Handlers raise on bad
+input, and the one except clause in dispatch turns every domain error,
+including one raised while writing, into the JSON error object and exit 1.
 """
 
 from __future__ import annotations
@@ -32,16 +35,21 @@ from . import memplan, niah, recipe, ringsim, rope, softnum
 SCHEMA_VERSION = recipe.SCHEMA_VERSION
 
 
-def _print_json(doc: dict, args, verbatim: tuple[str, tuple[str, ...]] | None = None) -> None:
-    """verbatim = (key, pieces): doc[key] is "", written as the pieces, already JSON string content."""
-    if not args.no_timestamp:
-        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(doc, indent=2) + "\n"
-    if verbatim is not None:
-        # Raw newlines and quotes are structure, so this matches only the top-level key.
-        head, marker, text = text.partition(f'\n  {json.dumps(verbatim[0])}: "')
-        sys.stdout.writelines((head, marker, *verbatim[1]))
-    sys.stdout.write(text)
+def _render(out: dict | str | None, no_timestamp: bool) -> tuple[str, ...]:
+    """The text of a handler's return value, as pieces for one writelines."""
+    if out is None:
+        return ()
+    if isinstance(out, str):
+        return (out,)
+    if not no_timestamp:
+        out["timestamp"] = datetime.now(timezone.utc).isoformat()
+    key = next((k for k, v in out.items() if isinstance(v, tuple)), None)
+    if key is None:
+        return (json.dumps(out, indent=2) + "\n",)
+    pieces, out[key] = out[key], ""
+    # Raw newlines and quotes are structure, so this matches only the top-level key.
+    head, marker, tail = (json.dumps(out, indent=2) + "\n").partition(f'\n  {json.dumps(key)}: "')
+    return (head, marker, *pieces, tail)
 
 
 def _parse_number_list(text: str, caster):
@@ -55,54 +63,47 @@ def _parse_number_list(text: str, caster):
 # Subcommand handlers
 
 
-def _cmd_census(args) -> None:
+def _cmd_census(args) -> dict:
     distinct = softnum.distinct_integer_census(args.limit)
-    _print_json(
-        {
-            "command": "census",
-            "limit": args.limit,
-            "distinct": distinct,
-            "collision_rate": 1.0 - distinct / args.limit,
-        },
-        args,
-    )
+    return {
+        "command": "census",
+        "limit": args.limit,
+        "distinct": distinct,
+        "collision_rate": 1.0 - distinct / args.limit,
+    }
 
 
-def _cmd_rope_plan(args) -> None:
+def _cmd_rope_plan(args) -> dict:
     candidates = _parse_number_list(args.candidates, float)
     plan = rope.plan_theta(args.context_len, candidates, head_dim=args.head_dim)
-    _print_json(
-        {
-            "command": "rope-plan",
-            "context_len": plan.context_len,
-            "head_dim": plan.head_dim,
-            "lower_bound": plan.lower_bound,
-            "recommended": plan.recommended,
-            "candidates": [
-                {
-                    "theta": c.theta,
-                    "bound_ratio": c.bound_ratio,
-                    "fraction_complete": c.fraction_complete,
-                    "classification": c.classification.value,
-                }
-                for c in plan.candidates
-            ],
-        },
-        args,
-    )
+    return {
+        "command": "rope-plan",
+        "context_len": plan.context_len,
+        "head_dim": plan.head_dim,
+        "lower_bound": plan.lower_bound,
+        "recommended": plan.recommended,
+        "candidates": [
+            {
+                "theta": c.theta,
+                "bound_ratio": c.bound_ratio,
+                "fraction_complete": c.fraction_complete,
+                "classification": c.classification.value,
+            }
+            for c in plan.candidates
+        ],
+    }
 
 
-def _cmd_rope_report(args) -> None:
+def _cmd_rope_report(args) -> str:
     cfg = rope.RopeConfig(
         theta_base=args.theta_base, head_dim=args.head_dim, max_position=args.max_position
     )
-    report = rope.rotation_report(cfg)
-    sys.stdout.write("pair_index,inv_freq,wavelength,complete\n")
-    for dim in report.dims:
-        sys.stdout.write(
-            f"{dim.pair_index},{dim.inv_freq!r},{dim.wavelength!r},"
-            f"{str(dim.completes_full_rotation).lower()}\n"
-        )
+    rows = (
+        f"{dim.pair_index},{dim.inv_freq!r},{dim.wavelength!r},"
+        f"{str(dim.completes_full_rotation).lower()}\n"
+        for dim in rope.rotation_report(cfg).dims
+    )
+    return "pair_index,inv_freq,wavelength,complete\n" + "".join(rows)
 
 
 def _parse_segments(spec: str, seq_len: int) -> np.ndarray:
@@ -112,7 +113,7 @@ def _parse_segments(spec: str, seq_len: int) -> np.ndarray:
     return np.repeat(np.arange(len(lengths)), lengths)
 
 
-def _cmd_ringsim(args) -> None:
+def _cmd_ringsim(args) -> dict:
     mesh = ringsim.RingMesh(
         device_count=args.devices, query_chunk=args.q_chunk, kv_chunk=args.kv_chunk
     )
@@ -130,24 +131,20 @@ def _cmd_ringsim(args) -> None:
     dump = open(args.dump_weights, "w", encoding="utf-8") if args.dump_weights else nullcontext()
     with dump as fh:
         reference = ringsim.exact_attention(problem, weights_csv=fh)
-    _print_json(
-        {
-            "command": "ringsim",
-            "seq_len": args.seq_len,
-            "head_dim": args.head_dim,
-            "devices": args.devices,
-            "q_chunk": args.q_chunk,
-            "kv_chunk": args.kv_chunk,
-            "seed": args.seed,
-            "max_abs_error_vs_oracle": float(np.max(np.abs(out - reference))),
-            "transfers": trace.transfers,
-            "schedule": [
-                {"step": s.step, "device": s.device, "kv_origin": s.kv_origin}
-                for s in trace.steps
-            ],
-        },
-        args,
-    )
+    return {
+        "command": "ringsim",
+        "seq_len": args.seq_len,
+        "head_dim": args.head_dim,
+        "devices": args.devices,
+        "q_chunk": args.q_chunk,
+        "kv_chunk": args.kv_chunk,
+        "seed": args.seed,
+        "max_abs_error_vs_oracle": float(np.max(np.abs(out - reference))),
+        "transfers": trace.transfers,
+        "schedule": [
+            {"step": s.step, "device": s.device, "kv_origin": s.kv_origin} for s in trace.steps
+        ],
+    }
 
 
 def _plan_json(plan: memplan.ChunkPlan) -> dict:
@@ -165,7 +162,7 @@ def _plan_json(plan: memplan.ChunkPlan) -> dict:
     }
 
 
-def _cmd_memplan(args) -> None:
+def _cmd_memplan(args) -> dict:
     plan = memplan.ChunkPlan(
         devices=args.devices, seq_len=args.seq_len, q_chunk=args.q_chunk, kv_chunk=args.kv_chunk
     )
@@ -176,15 +173,17 @@ def _cmd_memplan(args) -> None:
             raise ValueError(f"--extra-term must look like name=bytes, got {term!r}")
         extra[name] = int(value)
     report = memplan.memory_report(plan, budget_bytes=args.budget, extra_terms=extra)
-    doc = {"command": "memplan", **_plan_json(plan)}
-    doc["breakdown"] = {"lookup_table": report.lookup_table_bytes, **report.extra_terms}
-    doc["total_bytes"] = report.total_bytes
-    doc["budget_bytes"] = report.budget_bytes
-    doc["fits"] = report.fits
-    _print_json(doc, args)
+    return {
+        "command": "memplan",
+        **_plan_json(plan),
+        "breakdown": {"lookup_table": report.lookup_table_bytes, **report.extra_terms},
+        "total_bytes": report.total_bytes,
+        "budget_bytes": report.budget_bytes,
+        "fits": report.fits,
+    }
 
 
-def _cmd_memplan_search(args) -> None:
+def _cmd_memplan_search(args) -> dict:
     constraints = memplan.SearchConstraints(
         min_q_chunk=args.min_q_chunk,
         min_kv_chunk=args.min_kv_chunk,
@@ -193,19 +192,16 @@ def _cmd_memplan_search(args) -> None:
         power_of_two=args.power_of_two,
     )
     plan = memplan.search_chunk_plan(args.devices, args.seq_len, args.budget, constraints)
-    _print_json(
-        {
-            "command": "memplan-search",
-            "devices": args.devices,
-            "seq_len": args.seq_len,
-            "budget_bytes": args.budget,
-            "plan": None if plan is None else _plan_json(plan),
-        },
-        args,
-    )
+    return {
+        "command": "memplan-search",
+        "devices": args.devices,
+        "seq_len": args.seq_len,
+        "budget_bytes": args.budget,
+        "plan": None if plan is None else _plan_json(plan),
+    }
 
 
-def _cmd_niah_gen(args) -> None:
+def _cmd_niah_gen(args) -> dict:
     case = niah.NiahCase(
         haystack_tokens=args.haystack_tokens,
         depth_percent=args.depth,
@@ -213,7 +209,6 @@ def _cmd_niah_gen(args) -> None:
         seed=args.seed,
     )
     gen = niah.generate_case(case)
-    verbatim = None
     doc = {
         "command": "niah-gen",
         "haystack_tokens": args.haystack_tokens,
@@ -233,27 +228,23 @@ def _cmd_niah_gen(args) -> None:
         # The filler is JSON-plain, so only the needle needs escaping.
         needle = case.needle_template.format(payload=case.needle_payload)
         start, end = gen.needle_char_offset, gen.needle_char_offset + len(needle)
-        doc["document"] = ""
-        verbatim = ("document", (gen.document[:start], json.dumps(needle)[1:-1], gen.document[end:]))
-    _print_json(doc, args, verbatim)
+        doc["document"] = (gen.document[:start], json.dumps(needle)[1:-1], gen.document[end:])
+    return doc
 
 
-def _cmd_niah_score(args) -> None:
+def _cmd_niah_score(args) -> dict:
     if args.answer_file:
         with open(args.answer_file, encoding="utf-8") as fh:
             answer = fh.read()
     else:
         answer = args.answer
     result = niah.score(args.expected, answer)
-    _print_json(
-        {
-            "command": "niah-score",
-            "expected": args.expected,
-            "verdict": result.verdict.value,
-            "matched_prefix_len": result.matched_prefix_len,
-        },
-        args,
-    )
+    return {
+        "command": "niah-score",
+        "expected": args.expected,
+        "verdict": result.verdict.value,
+        "matched_prefix_len": result.matched_prefix_len,
+    }
 
 
 _STUBS = {
@@ -263,7 +254,7 @@ _STUBS = {
 }
 
 
-def _cmd_niah_grid(args) -> None:
+def _cmd_niah_grid(args) -> dict | str:
     if args.stub:
         client = _STUBS[args.stub]()
     else:
@@ -286,30 +277,22 @@ def _cmd_niah_grid(args) -> None:
             json.dump(list(result.details), fh, indent=2)
             fh.write("\n")
     if args.format == "csv":
-        sys.stdout.write(niah.grid_csv(result, metric=args.metric))
-        return
-    _print_json(
-        {
-            "command": "niah-grid",
-            "lengths": list(result.lengths),
-            "depths": list(result.depths),
-            "trials": result.trials,
-            "cells": [
-                {
-                    "haystack_tokens": c.haystack_tokens,
-                    "depth_percent": c.depth_percent,
-                    "exact_rate": c.rate("exact"),
-                    "truncated_rate": c.rate("truncated"),
-                    "wrong_rate": c.rate("wrong"),
-                    "empty_rate": c.rate("empty"),
-                    "error_rate": c.rate("error"),
-                    "counts": c.counts,
-                }
-                for c in result.cells
-            ],
-        },
-        args,
-    )
+        return niah.grid_csv(result, metric=args.metric)
+    return {
+        "command": "niah-grid",
+        "lengths": list(result.lengths),
+        "depths": list(result.depths),
+        "trials": result.trials,
+        "cells": [
+            {
+                "haystack_tokens": c.haystack_tokens,
+                "depth_percent": c.depth_percent,
+                **{f"{kind}_rate": c.rate(kind) for kind in niah.TALLY_KINDS},
+                "counts": c.counts,
+            }
+            for c in result.cells
+        ],
+    }
 
 
 def _read_manifest(args) -> recipe.RecipeManifest:
@@ -321,25 +304,21 @@ def _read_manifest(args) -> recipe.RecipeManifest:
     return recipe.parse_manifest(text) if args.action == "validate" else recipe.load_manifest(text)
 
 
-def _cmd_recipe(args) -> None:
+def _cmd_recipe(args) -> dict | str | None:
     manifest = _read_manifest(args)
     if args.action == "validate":
         violations = recipe.validate(manifest)
-        _print_json(
-            {
-                "command": "recipe-validate",
-                "ok": not violations,
-                "violations": [dataclasses.asdict(v) for v in violations],
-            },
-            args,
-        )
-        return
+        return {
+            "command": "recipe-validate",
+            "ok": not violations,
+            "violations": [dataclasses.asdict(v) for v in violations],
+        }
     text = recipe.emit_manifest(manifest)
     if args.action == "emit" and args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return None
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--api-shape", help="JSON file describing a non-default API shape")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-tokens", type=int, default=64)
-    p.add_argument("--concurrency", type=int, default=1)
+    p.add_argument("--concurrency", type=int, default=1, help=f"worker threads, 1 to {niah.MAX_CONCURRENCY}")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--metric", default="exact", help="rate shown in CSV output")
+    # Every usage error prints the usage line; a metavar keeps the choices out of it.
+    p.add_argument(
+        "--metric", choices=niah.TALLY_KINDS, default="exact", metavar="METRIC",
+        help=f"rate shown in CSV output: {', '.join(niah.TALLY_KINDS)}",
+    )
     p.add_argument("--detail-log", help="write per-trial JSON records to this file")
 
     p = sub.add_parser("recipe", help="show, validate, or emit the training-plan manifest")
@@ -454,7 +437,7 @@ def dispatch(argv: list[str]) -> int:
     """Run argv's subcommand handler; returns the process exit code."""
     args = _PARSER.parse_args(argv)
     try:
-        args.func(args)
+        sys.stdout.writelines(_render(args.func(args), args.no_timestamp))
     except (ValueError, OverflowError, OSError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(error, indent=2) + "\n")

@@ -39,7 +39,9 @@ import numpy as np
 __all__ = [
     "TOKENS_PER_WORD",
     "MAX_HAYSTACK_TOKENS",
+    "MAX_CONCURRENCY",
     "Verdict",
+    "TALLY_KINDS",
     "NiahCase",
     "GeneratedCase",
     "NiahResult",
@@ -65,6 +67,10 @@ TOKENS_PER_WORD = 1.3
 # Largest haystack, checked before any draw is sized: 32 times a 512K-token
 # context, about 72 MB of document text.
 MAX_HAYSTACK_TOKENS = 1 << 24
+# Most grid worker threads, checked before the pool is made. Each worker
+# holds one document and its prompt, so 16 of them at MAX_HAYSTACK_TOKENS
+# is about 2.3 GB.
+MAX_CONCURRENCY = 16
 
 DEFAULT_NEEDLE_TEMPLATE = (
     "The special magic number mentioned in the harbor records is {payload}."
@@ -87,6 +93,10 @@ class Verdict(Enum):
     TRUNCATED = "truncated"
     WRONG = "wrong"
     EMPTY = "empty"
+
+
+# What a grid cell counts: the four verdicts, then trials whose client failed.
+TALLY_KINDS = (*(v.value for v in Verdict), "error")
 
 
 @dataclass(frozen=True)
@@ -414,6 +424,8 @@ class CellRates:
     counts: dict[str, int]
 
     def rate(self, kind: str) -> float:
+        if kind not in TALLY_KINDS:
+            raise ValueError(f"unknown rate kind {kind!r}, expected one of {', '.join(TALLY_KINDS)}")
         return self.counts.get(kind, 0) / self.trials
 
 
@@ -481,6 +493,8 @@ def run_grid(
     depths = tuple(float(x) for x in depths)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 1 <= max_concurrency <= MAX_CONCURRENCY:
+        raise ValueError(f"max_concurrency={max_concurrency} is not in [1, MAX_CONCURRENCY={MAX_CONCURRENCY}]")
     if not lengths or not depths:
         raise ValueError("lengths and depths must each hold at least one value")
     _check_haystack_tokens(max(lengths))
@@ -517,7 +531,7 @@ def run_grid(
         outcomes = map(run_one, tasks)
 
     tallies: dict[tuple[int, int], dict[str, int]] = {
-        (li, di): {v.value: 0 for v in Verdict} | {"error": 0}
+        (li, di): dict.fromkeys(TALLY_KINDS, 0)
         for li in range(len(lengths))
         for di in range(len(depths))
     }

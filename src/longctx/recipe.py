@@ -21,6 +21,7 @@ Violation. load_manifest does both and raises if any violation is found.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 __all__ = [
@@ -208,6 +209,9 @@ def validate(manifest: RecipeManifest) -> list[Violation]:
     """Check every manifest invariant; empty list means the manifest is sound."""
     out: list[Violation] = []
 
+    if not manifest.phases:
+        out.append(Violation(None, "phases", ">= 1 phase", "0", "a manifest needs at least one phase"))
+
     indices = [p.index for p in manifest.phases]
     if any(b <= a for a, b in zip(indices, indices[1:])):
         out.append(
@@ -367,25 +371,35 @@ def _as_int(value, ctx: str) -> int:
     return value
 
 
+def _as_str(value, ctx: str) -> str:
+    if not isinstance(value, str):
+        raise ManifestError(f"{ctx} must be a JSON string, got {value!r}")
+    return value
+
+
 def _as_number(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ManifestError(f"{ctx} must be a JSON number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ManifestError(f"{ctx} is beyond the float64 range") from None
+    # json.loads reads NaN, Infinity and 1e400 as non-finite floats, which emit cannot write back as JSON.
+    if not math.isfinite(number):
+        raise ManifestError(f"{ctx} must be a finite JSON number, got {value!r}")
+    return number
 
 
-def _optional_int(doc: dict, key: str, ctx: str) -> int | None:
-    return None if doc.get(key) is None else _as_int(doc[key], f"{ctx}.{key}")
+def _optional(doc: dict, key: str, ctx: str, read=_as_int):
+    return None if doc.get(key) is None else read(doc[key], f"{ctx}.{key}")
 
 
 def _sequence_spec(edoc: dict, ctx: str) -> SequenceSpec:
     return SequenceSpec(
         seq_len=_as_int(_require(edoc, "seq_len", ctx), f"{ctx}.seq_len"),
-        seq_len_max=_optional_int(edoc, "seq_len_max", ctx),
-        sequence_count=_optional_int(edoc, "sequence_count", ctx),
-        token_subtotal=_optional_int(edoc, "token_subtotal", ctx),
+        seq_len_max=_optional(edoc, "seq_len_max", ctx),
+        sequence_count=_optional(edoc, "sequence_count", ctx),
+        token_subtotal=_optional(edoc, "token_subtotal", ctx),
     )
 
 
@@ -419,13 +433,13 @@ def parse_manifest(text: str) -> RecipeManifest:
         phases.append(
             PhasePlan(
                 index=_as_int(_require(pdoc, "index", ctx), f"{ctx}.index"),
-                phase_id=str(_require(pdoc, "phase_id", ctx)),
-                purpose=str(_require(pdoc, "purpose", ctx)),
+                phase_id=_as_str(_require(pdoc, "phase_id", ctx), f"{ctx}.phase_id"),
+                purpose=_as_str(_require(pdoc, "purpose", ctx), f"{ctx}.purpose"),
                 token_budget=_as_int(_require(pdoc, "token_budget", ctx), f"{ctx}.token_budget"),
                 rope_theta=_as_number(_require(pdoc, "rope_theta", ctx), f"{ctx}.rope_theta"),
                 sequence_spec=entries,
-                mix={str(k): _as_number(v, f"{ctx}.mix.{k}") for k, v in mix.items()},
-                checkpoint=pdoc.get("checkpoint"),
+                mix={k: _as_number(v, f"{ctx}.mix.{k}") for k, v in mix.items()},
+                checkpoint=_optional(pdoc, "checkpoint", ctx, _as_str),
                 subtotal_tolerance=_as_number(
                     pdoc.get("subtotal_tolerance", DEFAULT_SUBTOTAL_TOLERANCE),
                     f"{ctx}.subtotal_tolerance",
@@ -433,10 +447,11 @@ def parse_manifest(text: str) -> RecipeManifest:
             )
         )
 
+    notes = _as_list(doc.get("notes", []), "manifest.notes")
     return RecipeManifest(
-        base_model=str(_require(doc, "base_model", "manifest")),
+        base_model=_as_str(_require(doc, "base_model", "manifest"), "manifest.base_model"),
         phases=tuple(phases),
-        notes=tuple(str(n) for n in _as_list(doc.get("notes", []), "manifest.notes")),
+        notes=tuple(_as_str(n, f"manifest.notes[{i}]") for i, n in enumerate(notes)),
         schema=int(schema),
     )
 

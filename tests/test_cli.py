@@ -339,6 +339,21 @@ class TestNiah:
         assert code == 1 and captured.out == ""
         check_schema("error", json.loads(captured.err))
 
+    def test_grid_unknown_metric_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            dispatch(["--no-timestamp", "niah-grid", "--lengths", "600", "--depths", "0",
+                      "--stub", "echo", "--format", "csv", "--metric", "bogus"])
+        assert excinfo.value.code == 2 and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("concurrency", ["0", "-1", str(niah.MAX_CONCURRENCY + 1)])
+    def test_grid_concurrency_outside_the_bound_is_domain_error(self, capsys, concurrency):
+        # Rejected in run_grid before its thread pool is made.
+        error = run_domain_error(
+            capsys, "niah-grid", "--lengths", "600", "--depths", "0", "--stub", "echo",
+            "--concurrency", concurrency,
+        )
+        assert "MAX_CONCURRENCY" in error["message"]
+
     def test_grid_without_endpoint_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("LONGCTX_ENDPOINT", raising=False)
         with pytest.raises(SystemExit) as excinfo:
@@ -377,7 +392,11 @@ class TestRecipe:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("token_budget", None), ("index", "1"), ("rope_theta", True), ("mix", {"books": None})],
+        [
+            ("token_budget", None), ("index", "1"), ("rope_theta", True), ("mix", {"books": None}),
+            # Fields the manifest schema rejects, so show must not print them back.
+            ("checkpoint", 5), ("phase_id", None), ("rope_theta", float("nan")),
+        ],
     )
     def test_wrongly_typed_scalar_is_domain_error(self, capsys, tmp_path, field, value):
         doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -387,6 +406,14 @@ class TestRecipe:
         error = run_domain_error(capsys, "recipe", "show", "--file", str(path))
         assert error["type"] == "ManifestError"
         assert f"phases[0].{field}" in error["message"]
+
+    def test_validate_reports_an_empty_phase_list(self, capsys, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"schema": 1, "base_model": "x", "phases": []}))
+        doc = run_json(capsys, "recipe", "validate", "--file", str(path))
+        check_schema("recipe-validate", doc)
+        assert doc["ok"] is False and [v["field"] for v in doc["violations"]] == ["phases"]
+        run_domain_error(capsys, "recipe", "show", "--file", str(path))
 
     @pytest.mark.parametrize("action", ["show", "validate"])
     def test_phases_not_a_list_is_domain_error(self, capsys, tmp_path, action):
@@ -431,6 +458,21 @@ class TestContract:
                      "--trials", "1", "--stub", "echo", "--seed", "4")
         for argv in (ringsim_argv, grid_argv):
             assert run_cli(capsys, *argv).out == run_cli(capsys, *argv).out
+
+    @pytest.mark.parametrize("argv", [("census", "--limit", "16"), ("recipe", "show")])
+    def test_failed_stdout_write_is_domain_error(self, argv):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            writelines = write
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(err):
+            code = dispatch(["--no-timestamp", *argv])
+        error = json.loads(err.getvalue())
+        check_schema("error", error)
+        assert code == 1 and error["error"]["type"] == "BrokenPipeError"
 
     def test_timestamp_present_by_default(self, capsys):
         code = dispatch(["census", "--limit", "16"])

@@ -4,7 +4,7 @@ Any argv ends in exit 0, 1 or 2. Exit 1 means an empty stdout and a JSON
 error on stderr that validates against schemas/error.json; a warning
 raised on the way would reach stderr ahead of that JSON, so it breaks the
 contract too. A JSON document on stdout at exit 0 is strict JSON, with no
-NaN or Infinity.
+NaN or Infinity, and valid against its subcommand's bundled schema.
 
 Values come from a fixed pool of small, malformed, non-finite,
 non-ASCII-digit and beyond-float inputs. Flags that size the work (tokens, grid cells,
@@ -12,22 +12,25 @@ threads) draw only values up to 64, or a value just beyond the flag's
 size bound, which every argv rejects before allocating anything, so no
 example allocates by size. No argv carries --endpoint and
 LONGCTX_ENDPOINT is unset, so nothing is sent; flags that name a file to
-write are left out.
+write are left out. recipe --file also draws the golden manifest and
+copies of it that break the manifest schema in one field.
 """
 
 import contextlib
 import io
 import json
 import os
+import tempfile
 import warnings
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import jsonschema
 from hypothesis import given, settings, strategies as st
 
 from longctx.cli import dispatch
-from longctx.niah import MAX_HAYSTACK_TOKENS
+from longctx.niah import MAX_CONCURRENCY, MAX_HAYSTACK_TOKENS
 from longctx.rope import MAX_HEAD_DIM
 
 SMALL = ("1", "2", "3", "8", "64", "-1", "0", "abc", "", "nan", "inf")
@@ -37,12 +40,40 @@ POOL = SMALL + ("1e400", str(10**400), str(2**1100), "²³", "٣")
 ANY = st.sampled_from(POOL)
 SIZE = st.sampled_from(SMALL)
 FEW = st.sampled_from(("1", "2", "3", "-1", "0", "abc"))
+CONCURRENCY = st.sampled_from(("1", "2", "3", "-1", "0", "abc", str(MAX_CONCURRENCY + 1)))
 FLAG = None  # a store_true flag takes no value
 # Just beyond a size bound. 2**17 tokens of Q/K/V plus one oracle strip pass
 # ringsim's MAX_WORKING_SET_BYTES at any head_dim >= 1, whatever the mesh.
 SEQ_LEN = st.sampled_from(SMALL + (str(2**17),))
 TOKENS = st.sampled_from(SMALL + (str(MAX_HAYSTACK_TOKENS + 1),))
 HEAD_DIM = st.sampled_from(POOL + (str(MAX_HEAD_DIM + 1), str(MAX_HEAD_DIM + 2)))
+
+
+def _write_manifests(directory: Path) -> tuple[str, ...]:
+    """The golden manifest, and copies with one field of phase 0 (or the phase list) replaced."""
+    golden = (Path(__file__).parent / "data" / "megabeam_manifest.json").read_text(encoding="utf-8")
+    edits = {
+        "golden": {},
+        "checkpoint-number": {"checkpoint": 5},
+        "phase-id-null": {"phase_id": None},
+        "theta-nan": {"rope_theta": float("nan")},
+        "no-phases": None,
+    }
+    paths = []
+    for name, edit in edits.items():
+        doc = json.loads(golden)
+        if edit is None:
+            doc["phases"] = []
+        else:
+            doc["phases"][0].update(edit)
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(str(path))
+    return tuple(paths)
+
+
+_MANIFEST_DIR = tempfile.TemporaryDirectory()
+MANIFESTS = st.sampled_from(_write_manifests(Path(_MANIFEST_DIR.name)))
 
 
 def choice(*valid):
@@ -94,14 +125,14 @@ COMMANDS = {
             "--api-shape": ANY,
             "--seed": ANY,
             "--max-tokens": ANY,
-            "--concurrency": FEW,
+            "--concurrency": CONCURRENCY,
             "--format": choice("json", "csv"),
             "--metric": choice("exact", "truncated", "wrong", "empty", "error"),
         },
     ),
     "recipe": (
         {"": choice("show", "validate", "emit")},
-        {"--file": ANY},
+        {"--file": MANIFESTS | ANY},
     ),
 }
 
@@ -130,9 +161,11 @@ def _reject_constant(name):
     raise AssertionError(f"stdout holds {name}, which is not JSON")
 
 
-ERROR_SCHEMA = json.loads(
-    resources.files("longctx").joinpath("schemas/error.json").read_text(encoding="utf-8")
-)
+SCHEMAS = {
+    path.name.removesuffix(".json"): json.loads(path.read_text(encoding="utf-8"))
+    for path in resources.files("longctx").joinpath("schemas").iterdir()
+    if path.name.endswith(".json")
+}
 
 
 @settings(max_examples=300, deadline=None)
@@ -154,6 +187,9 @@ def test_every_argv_keeps_the_exit_contract(argv):
     assert code in (0, 1, 2), (argv, err.getvalue())
     if code == 1:
         assert out.getvalue() == "" and not caught, (argv, [str(w.message) for w in caught])
-        jsonschema.validate(json.loads(err.getvalue()), ERROR_SCHEMA)
+        jsonschema.validate(json.loads(err.getvalue()), SCHEMAS["error"])
     if code == 0 and out.getvalue().startswith("{"):
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        # recipe show and emit print the manifest itself, which has no "command" key.
+        name = "recipe-manifest" if argv[:1] == ["recipe"] and argv[1] != "validate" else doc["command"]
+        jsonschema.validate(doc, SCHEMAS[name])

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from longctx import niah
 from longctx.niah import (
+    MAX_CONCURRENCY,
     MAX_HAYSTACK_TOKENS,
     TOKENS_PER_WORD,
     ApiShape,
@@ -451,6 +452,21 @@ class TestGrid:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_grid([600], [0], 0, EchoStub())
+
+    @pytest.mark.parametrize("concurrency", [0, -1, MAX_CONCURRENCY + 1])
+    def test_rejects_concurrency_outside_the_bound_before_the_pool(self, monkeypatch, concurrency):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr(niah, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="MAX_CONCURRENCY"):
+            run_grid([600], [0], 1, EchoStub(), max_concurrency=concurrency)
+
+    def test_rate_rejects_an_unknown_kind(self):
+        result = run_grid([600], [0], 1, EchoStub())
+        assert [result.cells[0].rate(kind) for kind in niah.TALLY_KINDS] == [1.0, 0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="unknown rate kind 'bogus'"):
+            grid_csv(result, metric="bogus")
 
     @pytest.mark.parametrize("lengths, depths", [([600, 600], [0]), ([600], [50, 50.0])])
     def test_rejects_repeated_lengths_or_depths(self, lengths, depths):

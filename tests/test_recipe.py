@@ -14,6 +14,7 @@ from longctx.recipe import (
     emit_manifest,
     load_manifest,
     megabeam_recipe,
+    parse_manifest,
     validate,
 )
 
@@ -125,6 +126,11 @@ class TestValidator:
         problems = validate(RecipeManifest(base_model="m", phases=(phase,)))
         assert any("no token accounting" in v.message for v in problems)
 
+    def test_empty_phases_flagged(self):
+        # The manifest schema asks for at least one phase.
+        problems = validate(parse_manifest(json.dumps({"schema": 1, "base_model": "m", "phases": []})))
+        assert [(v.phase_id, v.field) for v in problems] == [(None, "phases")]
+
 
 class TestSerialization:
     def test_golden_manifest_is_byte_stable(self):
@@ -208,6 +214,11 @@ class TestSerialization:
              r"phases\[3\]\.sequence_spec\[1\]\.sequence_count must be a JSON integer"),
             ((4, "sequence_spec", 0, "seq_len_max"), 5.5, r"sequence_spec\[0\]\.seq_len_max must be"),
             ((1, "sequence_spec", 0, "token_subtotal"), {}, r"token_subtotal must be a JSON integer"),
+            ((0, "phase_id"), None, r"phases\[0\]\.phase_id must be a JSON string"),
+            ((2, "purpose"), 5, r"phases\[2\]\.purpose must be a JSON string"),
+            ((0, "checkpoint"), 5, r"phases\[0\]\.checkpoint must be a JSON string"),
+            ((0, "rope_theta"), float("nan"), r"phases\[0\]\.rope_theta must be a finite JSON number"),
+            ((0, "mix", "books"), float("inf"), r"phases\[0\]\.mix\.books must be a finite JSON number"),
         ],
     )
     def test_load_wrongly_typed_scalar_fails(self, path, value, match):
@@ -217,6 +228,19 @@ class TestSerialization:
         for key in parents:
             node = node[key]
         node[last] = value
+        with pytest.raises(ManifestError, match=match):
+            load_manifest(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("base_model", 7, r"manifest\.base_model must be a JSON string"),
+            ("notes", ["a note", None], r"manifest\.notes\[1\] must be a JSON string"),
+        ],
+    )
+    def test_load_wrongly_typed_top_level_scalar_fails(self, key, value, match):
+        doc = json.loads(emit_manifest(megabeam_recipe()))
+        doc[key] = value
         with pytest.raises(ManifestError, match=match):
             load_manifest(json.dumps(doc))
 

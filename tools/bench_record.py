@@ -22,9 +22,11 @@ tracked files differ from it), ``nproc`` and the run length. The output
 file is written fresh from the sides of one call.
 
 With two or more sides, stderr then gets one line per workload,
-end-to-end metric and later side: the first side's median, the later
-side's, their ratio, and in how many seeds the later side did better, in
-the direction ``BENCHMARK.json`` calls better (a tie is not a win).
+end-to-end metric and later side: the first side's median and IQR, the
+later side's median, their ratio, and in how many seeds the later side did
+better, in the direction ``BENCHMARK.json`` calls better (a tie is not a
+win). With the IQR on the line, a rule that asks the medians to differ by
+more than the first side's IQR can be checked from that line alone.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ def pairwise_summary(entries: list[dict], end_to_end: list[dict]) -> list[str]:
                 wins = sum(sign * (b - a) > 0 for a, b in zip(base["values"], other["values"]))
                 ratio = other["median"] / base["median"] if base["median"] else float("nan")
                 lines.append(
-                    f"{workload} {metric['name']}: {first} {base['median']:.4g}, {later} "
+                    f"{workload} {metric['name']}: {first} {base['median']:.4g} "
+                    f"(IQR {base['iqr']:.4g}), {later} "
                     f"{other['median']:.4g} (x{ratio:.3f}); {later} better in {wins} of "
                     f"{len(base['values'])} seeds"
                 )
