@@ -171,12 +171,14 @@ def _cmd_memplan(args) -> dict:
         name, _, value = term.partition("=")
         if not value:
             raise ValueError(f"--extra-term must look like name=bytes, got {term!r}")
+        if name in extra:
+            raise ValueError(f"--extra-term {name!r} is given more than once")
         extra[name] = int(value)
     report = memplan.memory_report(plan, budget_bytes=args.budget, extra_terms=extra)
     return {
         "command": "memplan",
         **_plan_json(plan),
-        "breakdown": {"lookup_table": report.lookup_table_bytes, **report.extra_terms},
+        "breakdown": report.breakdown,
         "total_bytes": report.total_bytes,
         "budget_bytes": report.budget_bytes,
         "fits": report.fits,

@@ -91,6 +91,7 @@ class MemoryReport:
 
     extra_terms is free-form report plumbing (named byte counts supplied by
     the caller, summed additively); only the lookup-table term is modeled.
+    breakdown lists every term, the table first, and sums to total_bytes.
     """
 
     plan: ChunkPlan
@@ -99,8 +100,12 @@ class MemoryReport:
     budget_bytes: int | None = None
 
     @property
+    def breakdown(self) -> dict[str, int]:
+        return {"lookup_table": self.lookup_table_bytes, **self.extra_terms}
+
+    @property
     def total_bytes(self) -> int:
-        return self.lookup_table_bytes + sum(self.extra_terms.values())
+        return sum(self.breakdown.values())
 
     @property
     def fits(self) -> bool:
@@ -112,10 +117,24 @@ def memory_report(
     budget_bytes: int | None = None,
     extra_terms: dict[str, int] | None = None,
 ) -> MemoryReport:
+    """Report on plan's lookup table, extra_terms and, if given, a budget.
+
+    Raises ValueError for a budget <= 0 (search_chunk_plan refuses one too),
+    a negative extra term, which would shrink the total, or one named
+    lookup_table, which would replace the table's own entry in breakdown.
+    """
+    if budget_bytes is not None and budget_bytes <= 0:
+        raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
+    extra_terms = dict(extra_terms or {})
+    if "lookup_table" in extra_terms:
+        raise ValueError("extra term name 'lookup_table' is reserved for the modeled table")
+    negative = sorted(name for name, nbytes in extra_terms.items() if nbytes < 0)
+    if negative:
+        raise ValueError(f"extra terms must be non-negative byte counts, got negative {negative}")
     return MemoryReport(
         plan=plan,
         lookup_table_bytes=lookup_table_bytes(plan),
-        extra_terms=dict(extra_terms or {}),
+        extra_terms=extra_terms,
         budget_bytes=budget_bytes,
     )
 

@@ -21,17 +21,19 @@ row, rescaling by exp(old_max - new_max) whenever the max moves. That makes
 the result independent of chunk sizes and of the order KV blocks arrive,
 which is what lets the ring schedule match the oracle.
 
-Before any math, every (query chunk x KV chunk) block is classified from
-per-chunk (first_pos, last_pos, first_seg, last_seg) tables. Segment ids
+Before any math, each query chunk's live and full KV chunks are found
+from the segment ids at the chunks' first and last tokens. Segment ids
 never decrease, so a block is *empty* when its two segment ranges do not
 overlap or (causal) its first key comes after its last query, and *full*
 when both chunks lie in one segment and (causal) its last key is at or
-before its first query; every other block is *partial*. Empty blocks are
-skipped, full blocks skip the mask, partial blocks are masked pair by pair.
-Skipping is exact, not an approximation: an empty block's scores are all
--inf, so it leaves every row's max unchanged (alpha = 1, or the state is
-still zero) and adds exp(-inf) = 0 to the sums; a full block's mask would
-select every score. Outputs are bitwise those of visiting every block.
+before its first query; every other block is *partial*. Each query chunk's
+live blocks, and its full ones, are one contiguous run of KV chunks.
+Empty blocks are skipped, full blocks skip the mask, partial blocks are
+masked pair by pair. Skipping is exact, not an approximation: an empty
+block's scores are all -inf, so it leaves every row's max unchanged
+(alpha = 1, or the state is still zero) and adds exp(-inf) = 0 to the
+sums; a full block's mask would select every score. Outputs are bitwise
+those of visiting every block.
 
 The oracle's key span for a row block runs from the first key of the
 block's first document to the block's last row (causal) or to the end of
@@ -41,19 +43,26 @@ the span changes which zeros are summed, not the result. exact_attention
 never holds an S x S array, only temporaries of at most 256 x S;
 attention_weights returns the full matrix.
 
-ring_attention folds live blocks one synchronous wave at a time, as a
-cluster would: wave (s, j) is every device's j-th KV chunk at ring step s.
-A wave holds each query chunk at most once, so its blocks touch disjoint
-rows; its full blocks share one batched kernel call and its partial
-blocks another, split at _BATCH_SCORES scores. Outputs are bitwise those
-of one block per call, and bit-stable: (s, j) order is each row's own
-fold order, and each batch item is the same-shape gemm and the same
-elementwise steps as a lone block.
+ring_attention folds each query chunk's live blocks in the ring's order:
+KV partitions as they arrive, each in KV chunk order. A block's fold step
+t is its rank in that order. Only two updates read the running state,
+l = alpha * l + rowsum and acc = alpha * acc + P.V, so everything else is
+computed ahead of them, batched in slabs of at most _BATCH_SCORES scores:
+QK^T (a stacked matmul, one gemm per block), the scale, the mask of
+partial blocks, the row max, the running max (a cumulative max over t,
+seeded with the max carried from earlier slabs), the shift, alpha, exp,
+the row sums and P.V. The two recurrences then run once per fold step on
+a contiguous slice of the state, whose rows go by descending fold count,
+so the rows still folding at step t come first. Outputs are bitwise those
+of one block per call: every row folds its blocks in the same order, a
+max is exact in any order, and each block gets the same gemms, the same
+sums along its rows and the same elementwise steps as a lone block.
 
 Memory is bounded before anything is allocated: random_problem refuses a
 problem whose Q/K/V plus one oracle strip would pass MAX_WORKING_SET_BYTES,
-and RingMesh.validate_for a mesh whose block classification tables would
-pass MAX_CLASSIFIED_BLOCKS entries.
+and RingMesh.validate_for a mesh with more than MAX_CLASSIFIED_BLOCKS
+(query chunk x KV chunk) blocks, which bounds the live blocks the ring's
+schedule lists.
 """
 
 from __future__ import annotations
@@ -80,13 +89,13 @@ __all__ = [
 ]
 
 _ORACLE_ROWS = 256  # query rows per oracle block
-_BATCH_SCORES = 4096  # scores per ring kernel call, in blocks of at least one
+_BATCH_SCORES = 4096  # scores per ring slab, in blocks of at least one
 # Size bounds, checked before anything sized by S is allocated. The oracle
 # holds a few strip-sized temporaries at once and the ring schedule a few
 # int64s per live block, so a run near either bound needs about 1 GiB.
 # Q/K/V plus one (_ORACLE_ROWS x S) oracle strip, in float64 bytes:
 MAX_WORKING_SET_BYTES = 1 << 28
-# Entries of one (S / query_chunk) x (S / kv_chunk) classification table:
+# (query chunk x KV chunk) blocks of one mesh, S / query_chunk * S / kv_chunk:
 MAX_CLASSIFIED_BLOCKS = 1 << 22
 
 
@@ -176,7 +185,9 @@ class RingTrace:
     blocks_visited counts the (query chunk x KV chunk) blocks folded into
     the running state, blocks_full the visited blocks that needed no mask
     and blocks_skipped the empty ones; visited + skipped is P^2 * nq * nkv.
-    kernel_calls counts the batched kernel calls that folded them.
+    kernel_calls counts the slabs, the batched calls that scored them, and
+    fold_steps the sequential steps of the online-softmax recurrences: the
+    most live blocks of any query chunk.
     """
 
     device_count: int
@@ -185,6 +196,7 @@ class RingTrace:
     blocks_full: int = 0
     blocks_skipped: int = 0
     kernel_calls: int = 0
+    fold_steps: int = 0
 
     @property
     def steps(self) -> list[RingStep]:
@@ -256,54 +268,106 @@ def exact_attention(p: AttentionProblem, weights_csv: TextIO | None = None) -> n
     return out
 
 
-def _chunk_table(segment_ids: np.ndarray, chunk: int) -> tuple[np.ndarray, ...]:
-    """(first_pos, last_pos, first_seg, last_seg) of every chunk, in order."""
-    first = np.arange(0, segment_ids.size, chunk)
-    last = first + (chunk - 1)
-    return first, last, segment_ids[first], segment_ids[last]
+def _live_ranges(p: AttentionProblem, query_chunk: int, kv_chunk: int) -> tuple[np.ndarray, ...]:
+    """KV chunk runs [lo, hi) of live blocks and [flo, fhi) of full blocks, per query chunk.
+
+    A block is live when it holds at least one legal pair and full when
+    every pair in it is legal. Segment ids never decrease, so a query
+    chunk's live blocks are the KV chunks whose segment range overlaps its
+    own, and its full blocks, when it lies in one segment, those lying in
+    that segment; each is one run, which causality only cuts short. Every
+    query chunk holds its own diagonal, so lo < hi.
+    """
+    seg = p.segment_ids
+    q_seg0, q_seg1 = seg[::query_chunk], seg[query_chunk - 1 :: query_chunk]
+    k_seg0, k_seg1 = seg[::kv_chunk], seg[kv_chunk - 1 :: kv_chunk]
+    lo = np.searchsorted(k_seg1, q_seg0, side="left")
+    hi = np.searchsorted(k_seg0, q_seg1, side="right")
+    flo = np.searchsorted(k_seg0, q_seg0, side="left")
+    fhi = np.where(q_seg0 == q_seg1, np.searchsorted(k_seg1, q_seg0, side="right"), flo)
+    if p.causal:
+        q_first = np.arange(0, p.seq_len, query_chunk)
+        hi = np.minimum(hi, (q_first + query_chunk - 1) // kv_chunk + 1)
+        fhi = np.minimum(fhi, (q_first + 1) // kv_chunk)
+    return lo, hi, flo, np.maximum(fhi, flo)
 
 
 def _classify_blocks(p: AttentionProblem, query_chunk: int, kv_chunk: int):
     """Live and full flags of every (query chunk x KV chunk) block.
 
-    Returns two boolean arrays of shape (S / query_chunk, S / kv_chunk).
-    A block is live when it holds at least one legal pair and full when
-    every pair in it is legal; a block that is not live is empty.
+    Returns two boolean arrays of shape (S / query_chunk, S / kv_chunk),
+    expanded from _live_ranges; a block that is not live is empty.
     """
-    q_first, q_last, q_seg0, q_seg1 = (a[:, None] for a in _chunk_table(p.segment_ids, query_chunk))
-    k_first, k_last, k_seg0, k_seg1 = (a[None, :] for a in _chunk_table(p.segment_ids, kv_chunk))
-    live = (k_seg0 <= q_seg1) & (q_seg0 <= k_seg1)
-    full = (q_seg0 == q_seg1) & (k_seg0 == k_seg1) & (q_seg0 == k_seg0)
-    if p.causal:
-        live &= k_first <= q_last
-        full &= k_last <= q_first
-    return live, full
+    lo, hi, flo, fhi = (a[:, None] for a in _live_ranges(p, query_chunk, kv_chunk))
+    k = np.arange(p.seq_len // kv_chunk)
+    return (lo <= k) & (k < hi), (flo <= k) & (k < fhi)
 
 
-def _stream_wave(p, chunks, qi: np.ndarray, ki: np.ndarray, masked: bool, m, l, acc) -> None:
-    """Fold blocks (query chunk qi[b] x KV chunk ki[b], no qi twice) into the chunked state."""
-    q, k, v = chunks
-    qc, kc = q.shape[1], k.shape[1]
-    # A one-block batch takes basic slices, so every operand is a view, not a gathered copy.
-    qs, ks = (slice(qi[0], qi[0] + 1), slice(ki[0], ki[0] + 1)) if qi.size == 1 else (qi, ki)
-    scores = (q[qs] @ k[ks].transpose(0, 2, 1)) * p.scale
-    m_old = m[qs]
-    if masked:
-        rows = (qi * qc)[:, None] + np.arange(qc)
-        cols = (ki * kc)[:, None] + np.arange(kc)
-        scores = np.where(_allowed_mask(p, rows, cols), scores, -np.inf)
-        new_m = np.maximum(m_old, scores.max(axis=2))
-        # Rows that have seen nothing legal yet keep new_m == -inf; shift those
-        # by 0 so exp(-inf) cleanly produces all-zero contributions.
-        shift = np.where(np.isneginf(new_m), 0.0, new_m)
-    else:
-        new_m = shift = np.maximum(m_old, scores.max(axis=2))
-    # exp(-inf - shift) is 0, so rows with no state yet start from zero.
-    alpha = np.exp(m_old - shift)
-    e = np.exp(scores - shift[..., None])
-    l[qs] = alpha * l[qs] + e.sum(axis=2)
-    acc[qs] = alpha[..., None] * acc[qs] + e @ v[ks]
-    m[qs] = new_m
+def _fold_schedule(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, ...]:
+    """Every live block in fold-step order, built from the live runs.
+
+    Returns (row, widths, qi, ki, full). Query chunk c folds into state row
+    row[c]; rows go by descending live-block count, so the rows that fold
+    at step t are the first widths[t]. qi, ki and full give the query chunk,
+    KV chunk and full flag of every live block, by (t, state row).
+
+    A block's step t is its rank in its query chunk's fold order: the ring
+    hands query device dq the KV partitions dq, dq - 1, ..., 0, P - 1, ...,
+    dq + 1 in turn, each folded in ascending KV chunk order. The live KV
+    chunks are the run [lo, hi), so the blocks folded before KV chunk k are
+    the run's part below k in k's partition, the run's parts in the
+    partitions folded before k's and, past dq, the whole run up to dq.
+    """
+    lo, hi, flo, fhi = _live_ranges(p, mesh.query_chunk, mesh.kv_chunk)
+    nq, nkv = lo.size // mesh.device_count, p.seq_len // mesh.kv_chunk // mesh.device_count
+    counts = hi - lo
+    i = np.repeat(np.arange(lo.size), counts)
+    k = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    k += np.arange(k.size)
+    part = k // nkv
+    low_end = np.minimum(hi, (np.arange(lo.size) // nq + 1) * nkv)  # the run's end on devices <= dq
+    high = part > i // nq  # only a non-causal run reaches past dq
+    t = np.where(high, hi[i], low_end[i])
+    t -= (part + 1) * nkv
+    np.maximum(t, 0, out=t)
+    t += k
+    part *= nkv
+    t -= np.maximum(part, lo[i], out=part)
+    t[high] += (low_end - lo)[i[high]]
+    del part, high  # like i, k and t below: one entry per live block, freed early
+
+    order = np.argsort(-counts, kind="stable")
+    row = np.empty_like(order)
+    row[order] = np.arange(lo.size)
+    widths = lo.size - np.cumsum(np.bincount(counts))[:-1]
+    at = (np.cumsum(widths) - widths)[t]  # first block of step t, by (t, state row)
+    at += row[i]
+    del t
+    qi, ki = np.empty_like(i), np.empty_like(k)
+    qi[at], ki[at] = i, k
+    del i, k, at
+    return row, widths, qi, ki, (flo[qi] <= ki) & (ki < fhi[qi])
+
+
+def _slabs(widths: list[int], cap: int):
+    """(c0, ns) of each slab, in fold order: its first state row and its steps' widths.
+
+    widths[t] is how many state rows fold at step t; it never grows with t.
+    A slab takes consecutive steps, each from state row c0 on, and ns[r]
+    rows at its r-th step. Its (step x state row) grid, len(ns) x ns[0],
+    holds at most cap cells, so at most cap blocks; a step wider than cap
+    is cut into slabs of one step each.
+    """
+    t = 0
+    while t < len(widths):
+        w = widths[t]
+        if w > cap:
+            yield from ((c0, [min(cap, w - c0)]) for c0 in range(0, w, cap))
+            t += 1
+        else:
+            ns = widths[t : t + cap // w]
+            yield 0, ns
+            t += len(ns)
 
 
 def blockwise_attention(p: AttentionProblem, query_chunk: int, kv_chunk: int) -> np.ndarray:
@@ -322,49 +386,76 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
     its rows are finalized. Each of the P-1 rotations moves P KV blocks, so
     the trace counts P * (P - 1) peer-to-peer transfers.
 
-    Blocks are classified once up front and only the live ones are folded,
-    one wave (s, j) at a time, full and partial blocks in separate batched
-    calls (see the module docstring for the order and bit-identity). Every
-    block lies in exactly one (device, kv_origin) pair, so the trace's
-    block counts sum to P^2 * nq * nkv, with nq and nkv the query and KV
-    chunks per device partition.
+    Only live blocks are folded, by fold step and in slabs (see the module
+    docstring for the order and bit-identity). Every block lies in exactly
+    one (device, kv_origin) pair, so the trace's block counts sum to
+    P^2 * nq * nkv, with nq and nkv the query and KV chunks per device
+    partition.
     """
     mesh.validate_for(p.seq_len)
     P, qc, kc, d = mesh.device_count, mesh.query_chunk, mesh.kv_chunk, p.head_dim
-    live, full = _classify_blocks(p, qc, kc)
-    (n_q, n_kv), nq, nkv = live.shape, live.shape[0] // P, live.shape[1] // P
+    n_q, n_kv = p.seq_len // qc, p.seq_len // kc
+    row, widths, qi_all, ki_all, full = _fold_schedule(p, mesh)
 
-    # Wave (s, j) pairs query chunk i of device dev with KV chunk j of partition (dev - s) mod P.
-    s, dev = np.arange(P)[:, None, None, None], np.arange(P)[:, None]
-    wave = (dev, np.arange(nq), (dev - s) % P, np.arange(nkv)[:, None, None])
-    live, full = live.reshape(P, nq, P, nkv)[wave], full.reshape(P, nq, P, nkv)[wave]
-    # One row per (wave, masked) sub-batch, in fold order, over the global query chunks.
-    groups = np.stack([full, live & ~full], axis=2).reshape(-1, n_q)
-    qi = np.flatnonzero(groups)
-    wave_id = qi // (2 * n_q)  # s * nkv + j
-    qi %= n_q
-    ki = (qi // nq - wave_id // nkv) % P * nkv + wave_id % nkv
+    q, key, v = p.q.reshape(n_q, qc, d), p.k.reshape(n_kv, kc, d), p.v.reshape(n_kv, kc, d)
+    m, state = np.full((n_q, qc), -np.inf), np.zeros((n_q, qc, d + 1))  # state: acc | l
+    # Allocated before the fold: allocated after it, ring_long's peak RSS was about 4 MiB higher.
+    out = np.empty((n_q, qc, d))
+    cap, first, slabs = max(1, _BATCH_SCORES // (qc * kc)), 0, 0
+    for c0, ns in _slabs(widths.tolist(), cap):
+        # Batched: scores, mask, running max, shift, alpha, exp, row sums and P.V of every block.
+        w, blocks = ns[0], slice(first, first + sum(ns))
+        qi, ki, first, slabs = qi_all[blocks], ki_all[blocks], blocks.stop, slabs + 1
+        # A one-block slab takes basic slices, so every operand is a view, not a gathered copy.
+        qs, ks = (slice(qi[0], qi[0] + 1), slice(ki[0], ki[0] + 1)) if qi.size == 1 else (qi, ki)
+        scores = q[qs] @ key[ks].transpose(0, 2, 1)
+        scores *= p.scale
+        if not full[blocks].all():  # a full block's mask would keep every score
+            rows_at, cols_at = (qi * qc)[:, None] + np.arange(qc), (ki * kc)[:, None] + np.arange(kc)
+            np.copyto(scores, -np.inf, where=~_allowed_mask(p, rows_at, cols_at))
+        # Running max of each state row over its steps, seeded with its carried max:
+        # a (step x state row) grid, -inf where a row has stopped folding.
+        grid = np.full((len(ns) + 1, w, qc), -np.inf)
+        grid[0] = m[c0 : c0 + w]
+        before, after = grid[:-1].reshape(-1, qc), grid[1:].reshape(-1, qc)
+        cells = slice(None)  # the grid's cells that hold a block, in block order
+        if ns[-1] < w:
+            cells = np.flatnonzero(np.arange(w) < np.array(ns)[:, None])
+        after[cells] = scores.max(axis=2)
+        np.maximum.accumulate(grid, axis=0, out=grid)
+        m[c0 : c0 + w] = grid[-1]
+        new_m = after[cells]
+        # Rows that have seen nothing legal yet keep new_m == -inf; shift those
+        # by 0 so exp(-inf) cleanly produces all-zero contributions.
+        shift = np.where(new_m == -np.inf, 0.0, new_m)
+        # exp(-inf - shift) is 0, so rows with no state yet start from zero.
+        alpha = np.exp(before[cells] - shift)[..., None]
+        e = scores
+        e -= shift[..., None]
+        np.exp(e, out=e)
+        terms = np.empty((qi.size, qc, d + 1))
+        np.matmul(e, v[ks], out=terms[..., :d])
+        terms[..., d] = e.sum(axis=2)
+        # Sequential: per fold step, acc = alpha * acc + P.V and l = alpha * l + rowsum.
+        b = 0
+        for n in ns:
+            rec = state[c0 : c0 + n]
+            rec *= alpha[b : b + n]
+            rec += terms[b : b + n]
+            b += n
 
-    m, l, acc = np.full((n_q, qc), -np.inf), np.zeros((n_q, qc)), np.zeros((n_q, qc, d))
-    chunks = (p.q.reshape(n_q, qc, d), p.k.reshape(n_kv, kc, d), p.v.reshape(n_kv, kc, d))
-    cap = max(1, _BATCH_SCORES // (qc * kc))
-    counts = np.count_nonzero(groups, axis=1)
-    nonempty = np.flatnonzero(counts)
-    ends = np.cumsum(counts)[nonempty]
-    for g, start, end in zip(nonempty.tolist(), (ends - counts[nonempty]).tolist(), ends.tolist()):
-        for lo in range(start, end, cap):
-            batch = slice(lo, min(lo + cap, end))
-            _stream_wave(p, chunks, qi[batch], ki[batch], g % 2 == 1, m, l, acc)
-
+    np.divide(state[..., :d], state[..., d:], out=state[..., :d])
+    np.take(state[..., :d], row, axis=0, out=out)
     trace = RingTrace(
         device_count=P,
         transfers=P * (P - 1),
-        blocks_visited=qi.size,
+        blocks_visited=ki_all.size,
         blocks_full=int(np.count_nonzero(full)),
-        blocks_skipped=live.size - qi.size,
-        kernel_calls=int(np.sum(-(-counts // cap))),
+        blocks_skipped=n_q * n_kv - ki_all.size,
+        kernel_calls=slabs,
+        fold_steps=widths.size,
     )
-    return (acc / l[..., None]).reshape(p.seq_len, d), trace
+    return out.reshape(p.seq_len, d), trace
 
 
 def dosp_limits(kv_heads: int, devices: int) -> DospLimits:

@@ -194,6 +194,24 @@ class TestMemplan:
         assert doc["breakdown"]["activations"] == 2**30
         assert doc["total_bytes"] == doc["lookup_table_bytes"] + 2**30
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--extra-term", "lookup_table=5"),
+            ("--extra-term", "a=-5"),
+            ("--budget", "-1"),
+            ("--budget", "0"),
+            ("--extra-term", "a=1", "--extra-term", "a=2"),
+        ],
+        ids=["table-name", "negative-term", "negative-budget", "zero-budget", "repeated-term"],
+    )
+    def test_report_inputs_that_break_the_total_are_domain_errors(self, capsys, flags):
+        error = run_domain_error(
+            capsys, "memplan", "--devices", "8", "--seq-len", "524288",
+            "--q-chunk", "2048", "--kv-chunk", "4096", *flags,
+        )
+        assert error["type"] == "ValueError"
+
     def test_search_finds_plan(self, capsys):
         doc = run_json(
             capsys,

@@ -93,6 +93,26 @@ class TestMemoryReport:
         report = memory_report(doubled_plan(), extra_terms={"activations": 3 * GIB})
         assert report.total_bytes == report.lookup_table_bytes + 3 * GIB
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_nonpositive_budget(self, budget):
+        with pytest.raises(ValueError, match="budget_bytes must be positive"):
+            memory_report(doubled_plan(), budget_bytes=budget)
+
+    def test_rejects_negative_term(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            memory_report(doubled_plan(), extra_terms={"activations": GIB, "a": -5})
+
+    def test_rejects_the_table_name_as_a_term(self):
+        with pytest.raises(ValueError, match="reserved"):
+            memory_report(doubled_plan(), extra_terms={"lookup_table": 5})
+
+    def test_breakdown_sums_to_total(self):
+        report = memory_report(doubled_plan(), extra_terms={"activations": 3 * GIB, "zero": 0})
+        assert report.breakdown == {
+            "lookup_table": report.lookup_table_bytes, "activations": 3 * GIB, "zero": 0,
+        }
+        assert sum(report.breakdown.values()) == report.total_bytes
+
 
 def brute_force_first_fit(devices, seq_len, budget, constraints):
     """First fitting (q_chunk, kv_chunk) over every divisor pair, in ascending order."""

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from longctx.ringsim import (
+    _BATCH_SCORES,
     MAX_CLASSIFIED_BLOCKS,
     MAX_WORKING_SET_BYTES,
     AttentionProblem,
@@ -381,9 +382,10 @@ def per_block_ring(p: AttentionProblem, mesh: RingMesh) -> np.ndarray:
     return acc / l[:, None]
 
 
-# (query_chunk, kv_chunk) with 2,048, 4,096 and 8,192 scores per block: below, at and
-# above the kernel's 4,096-score batch, so batches of two, and one-block views.
-CAP_CHUNKS = [(32, 64), (64, 32), (64, 64), (64, 128), (128, 64)]
+# (query_chunk, kv_chunk) with 512 to 8,192 scores per block, around the kernel's
+# 4,096-score slab: slabs of eight, four or two blocks, whose widest fold steps
+# are cut across slabs, and one-block slabs of views at and above it.
+CAP_CHUNKS = [(8, 64), (64, 8), (16, 64), (32, 64), (64, 32), (64, 64), (32, 128), (64, 128), (128, 64)]
 
 
 @st.composite
@@ -417,14 +419,63 @@ class TestBatchedKernel:
         assert np.array_equal(out, per_block_ring(p, mesh))
         assert 1 <= trace.kernel_calls <= trace.blocks_visited
 
-    def test_one_call_per_wave_and_kind_at_one_token_chunks(self):
-        # S = P: each device holds one token, so every step is one wave.
+    def test_few_slabs_at_one_token_chunks(self):
+        # S = P: each device holds one token, and one slab folds thousands of 1 x 1 blocks.
         P = 256
         p = random_problem(P, 4, np.random.default_rng(21))
         out, trace = ring_attention(p, RingMesh(P, 1, 1))
         assert trace.kernel_calls <= 2 * P
         assert trace.blocks_visited == np.count_nonzero(_classify_blocks(p, 1, 1)[0])
         assert max_rel_error(out, exact_attention(p)) < 1e-6
+
+    @given(ring_layouts())
+    def test_fold_steps_is_the_most_live_blocks_of_any_query_chunk(self, layout):
+        segment_ids, mesh, causal = layout
+        S, qc, kc = segment_ids.size, mesh.query_chunk, mesh.kv_chunk
+        p = AttentionProblem(
+            q=np.ones((S, 1)), k=np.ones((S, 1)), v=np.ones((S, 1)), segment_ids=segment_ids, causal=causal,
+        )
+        legal = np.array([
+            [segment_ids[i] == segment_ids[j] and (j <= i or not causal) for j in range(S)]
+            for i in range(S)
+        ])
+        live_per_query_chunk = legal.reshape(S // qc, qc, S // kc, kc).any(axis=(1, 3)).sum(axis=1)
+        _, trace = ring_attention(p, mesh)
+        assert trace.fold_steps == live_per_query_chunk.max()
+        assert trace.fold_steps == _classify_blocks(p, qc, kc)[0].sum(axis=1).max()
+        assert trace.fold_steps <= trace.blocks_visited
+
+    def test_fold_step_cut_across_slabs(self):
+        # A slab holds _BATCH_SCORES / 64 blocks of 8 x 8. One causal document over
+        # 1.5 slabs' worth of query chunks: its early fold steps fold every query
+        # chunk, more than a slab holds, so each is cut across two slabs. A slab
+        # holding whole steps only would give kernel_calls <= fold_steps.
+        qc = kc = 8
+        per_slab = _BATCH_SCORES // (qc * kc)
+        S = 4 * qc * (3 * per_slab // 8)
+        p = random_problem(S, 4, np.random.default_rng(23), num_segments=1)
+        mesh = RingMesh(4, qc, kc)
+        out, trace = ring_attention(p, mesh)
+        assert S // qc > per_slab
+        assert trace.kernel_calls > trace.fold_steps == S // qc
+        assert np.array_equal(out, per_block_ring(p, mesh))
+
+    def test_carried_max_seeds_a_slab_that_starts_mid_step(self):
+        # Non-causal, one document: every query chunk folds at every step, so every
+        # step is cut and its second slab starts at state row per_slab, seeded with
+        # the max carried from that row's earlier steps. Large scores move the max often.
+        qc = kc = 8
+        per_slab = _BATCH_SCORES // (qc * kc)
+        S = 2 * qc * per_slab
+        rng = np.random.default_rng(24)
+        p = AttentionProblem(
+            q=8 * rng.standard_normal((S, 4)), k=rng.standard_normal((S, 4)), v=rng.standard_normal((S, 4)),
+            segment_ids=np.zeros(S, dtype=np.int64), causal=False,
+        )
+        mesh = RingMesh(2, qc, kc)
+        out, trace = ring_attention(p, mesh)
+        assert trace.fold_steps == S // kc and trace.kernel_calls == 2 * trace.fold_steps
+        assert np.array_equal(out, per_block_ring(p, mesh))
 
     @pytest.mark.parametrize("P", [1, 3, 8])
     def test_lazy_schedule_equals_eager_list(self, P):

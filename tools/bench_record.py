@@ -5,15 +5,15 @@
     python3 tools/bench_record.py --side parent=../parent --side change=. \
         --workload ring_sweep --trace --seeds 1 2 3 --out BENCH_trace.json
 
-Each ``--side LABEL=PATH`` names a source checkout; its own
-``perfbench/run.py`` runs there with ``--trace 0``, once per workload
-listed in its ``BENCHMARK.json`` (or only those named by ``--workload``)
-and per seed, for the ``run_seconds`` that file sets; all sides must set
-the same. ``--trace`` adds a ``--trace 1`` run after each of those and
-records its per-layer metrics too. For each (workload, seed) the sides
-take turns going first, so a slow stretch of the host does not land on
-one side only. Any side whose run fails or reports wrong outputs stops
-the recording with exit 1 and writes nothing.
+Each ``--side LABEL=PATH`` names a source checkout under its own label (a
+repeated label is a usage error); its ``perfbench/run.py`` runs there with
+``--trace 0``, once per workload listed in its ``BENCHMARK.json`` (or only
+those named by ``--workload``) and per seed, for the ``run_seconds`` that
+file sets; all sides must set the same. ``--trace`` adds a ``--trace 1``
+run after each of those and records its per-layer metrics too. For each
+(workload, seed) the sides take turns going first, so a slow stretch of the
+host does not land on one side only. Any side whose run fails or reports
+wrong outputs stops the recording with exit 1 and writes nothing.
 
 The output holds one entry per (side, workload, metric): workload, metric,
 unit, median, IQR (third minus first quartile, inclusive method), run
@@ -148,6 +148,8 @@ def main(argv=None) -> int:
         label, sep, path = spec.partition("=")
         if not sep or not label or not path:
             parser.error(f"--side must look like LABEL=PATH, got {spec!r}")
+        if label in sides:
+            parser.error(f"--side label {label!r} is given more than once")
         sides[label] = Path(path).resolve()
     try:
         entries = record(sides, args.seeds, args.workload, args.trace)
