@@ -327,22 +327,27 @@ def _fold_schedule(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, ...
     part = k // nkv
     low_end = np.minimum(hi, (np.arange(lo.size) // nq + 1) * nkv)  # the run's end on devices <= dq
     high = part > i // nq  # only a non-causal run reaches past dq
-    t = np.where(high, hi[i], low_end[i])
-    t -= (part + 1) * nkv
+    t = low_end[i]
+    t[high] = hi[i[high]]
+    part += 1
+    part *= nkv
+    t -= part
     np.maximum(t, 0, out=t)
     t += k
-    part *= nkv
+    part -= nkv
     t -= np.maximum(part, lo[i], out=part)
     t[high] += (low_end - lo)[i[high]]
-    del part, high  # like i, k and t below: one entry per live block, freed early
+    # These arrays, like i, k, t and at below, hold one entry per live block, so
+    # they are updated in place and freed as soon as they are used.
+    del part, high
 
     order = np.argsort(-counts, kind="stable")
     row = np.empty_like(order)
     row[order] = np.arange(lo.size)
     widths = lo.size - np.cumsum(np.bincount(counts))[:-1]
     at = (np.cumsum(widths) - widths)[t]  # first block of step t, by (t, state row)
-    at += row[i]
     del t
+    at += row[i]
     qi, ki = np.empty_like(i), np.empty_like(k)
     qi[at], ki[at] = i, k
     del i, k, at
