@@ -28,12 +28,12 @@ overlap or (causal) its first key comes after its last query, and *full*
 when both chunks lie in one segment and (causal) its last key is at or
 before its first query; every other block is *partial*. Each query chunk's
 live blocks, and its full ones, are one contiguous run of KV chunks.
-Empty blocks are skipped, full blocks skip the mask, partial blocks are
-masked pair by pair. Skipping is exact, not an approximation: an empty
-block's scores are all -inf, so it leaves every row's max unchanged
-(alpha = 1, or the state is still zero) and adds exp(-inf) = 0 to the
-sums; a full block's mask would select every score. Outputs are bitwise
-those of visiting every block.
+Empty blocks are skipped, and a batch of full blocks skips the mask;
+a batch that holds a partial block is masked pair by pair. Skipping is
+exact, not an approximation: an empty block's scores are all -inf, so it
+leaves every row's max unchanged (alpha = 1, or the state is still zero)
+and adds exp(-inf) = 0 to the sums; a full block's mask selects every
+score. Outputs are bitwise those of visiting every block.
 
 The oracle's key span for a row block runs from the first key of the
 block's first document to the block's last row (causal) or to the end of

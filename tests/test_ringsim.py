@@ -420,7 +420,7 @@ class TestBatchedKernel:
         assert 1 <= trace.kernel_calls <= trace.blocks_visited
 
     def test_few_slabs_at_one_token_chunks(self):
-        # S = P: each device holds one token, and one slab folds thousands of 1 x 1 blocks.
+        # S = P: each device holds one token, and a slab scores up to _BATCH_SCORES 1 x 1 blocks.
         P = 256
         p = random_problem(P, 4, np.random.default_rng(21))
         out, trace = ring_attention(p, RingMesh(P, 1, 1))
