@@ -21,33 +21,35 @@ row, rescaling by exp(old_max - new_max) whenever the max moves. That makes
 the result independent of chunk sizes and of the order KV blocks arrive,
 which is what lets the ring schedule match the oracle.
 
-Before any math, each query chunk's live and full KV chunks are found
-from the segment ids at the chunks' first and last tokens. Segment ids
-never decrease, so a block is *empty* when its two segment ranges do not
-overlap or (causal) its first key comes after its last query, and *full*
-when both chunks lie in one segment and (causal) its last key is at or
-before its first query; every other block is *partial*. Each query chunk's
-live blocks, and its full ones, are one contiguous run of KV chunks.
-Empty blocks are skipped, and a batch of full blocks skips the mask;
-a batch that holds a partial block is masked pair by pair. Skipping is
-exact, not an approximation: an empty block's scores are all -inf, so it
-leaves every row's max unchanged (alpha = 1, or the state is still zero)
-and adds exp(-inf) = 0 to the sums; a full block's mask selects every
-score. Outputs are bitwise those of visiting every block.
+Segments are contiguous, so row i's legal keys are one interval
+[lo_i, hi_i], from its segment's start to i (causal) or to the segment's
+end; both never decrease. Each query chunk's live and full KV chunks are
+found from the segment ids at the chunks' first and last tokens: a block
+is *empty* when its two segment ranges do not overlap or (causal) its
+first key comes after its last query, and *full* when both chunks lie in
+one segment and (causal) its last key is at or before its first query;
+every other block is *partial*. Each query chunk's live blocks, and its
+full ones, are one contiguous run of KV chunks. Empty blocks are skipped,
+full blocks skip the mask and a partial block masks each row's keys
+outside [lo_i, hi_i]. Skipping is exact, not an approximation: an empty
+block's scores are all -inf, so it leaves every row's max unchanged
+(alpha = 1, or the state is still zero) and adds exp(-inf) = 0 to the
+sums; a full block's mask selects every score. Outputs are bitwise those
+of visiting every block.
 
-The oracle's key span for a row block runs from the first key of the
-block's first document to the block's last row (causal) or to the end of
-its last document (non-causal). Every legal key of every row in the block
-lies inside it, and every key outside it would get weight exactly 0.0, so
-the span changes which zeros are summed, not the result. exact_attention
-never holds an S x S array, only temporaries of at most 256 x S;
-attention_weights returns the full matrix.
+The oracle's key span for a row block is [lo of its first row, hi of its
+last row]. Every legal key of every row in the block lies inside it, and
+every key outside it would get weight exactly 0.0, so the span changes
+which zeros are summed, not the result; only its edges need the mask.
+exact_attention never holds an S x S array, only one strip of at most
+256 x S, which every pass updates in place; attention_weights returns the
+full matrix.
 
 ring_attention folds each query chunk's live blocks in the ring's order:
 KV partitions as they arrive, each in KV chunk order. A block's fold step
 t is its rank in that order. Only two updates read the running state,
 l = alpha * l + rowsum and acc = alpha * acc + P.V, so everything else is
-computed ahead of them, batched in slabs of at most _BATCH_SCORES scores:
+computed ahead of them, batched in slabs whose temporaries fit _SLAB_BYTES:
 QK^T (a stacked matmul, one gemm per block), the scale, the mask of
 partial blocks, the row max, the running max (a cumulative max over t,
 seeded with the max carried from earlier slabs), the shift, alpha, exp,
@@ -89,10 +91,10 @@ __all__ = [
 ]
 
 _ORACLE_ROWS = 256  # query rows per oracle block
-_BATCH_SCORES = 4096  # scores per ring slab, in blocks of at least one
+_SLAB_BYTES = 1 << 20  # bytes of one ring slab's temporaries, in blocks of at least one
 # Size bounds, checked before anything sized by S is allocated. The oracle
-# holds a few strip-sized temporaries at once and the ring schedule a few
-# int64s per live block, so a run near either bound needs about 1 GiB.
+# holds one strip and its edge masks at once and the ring schedule a few
+# int32s per live block, so a run near either bound needs a few hundred MiB.
 # Q/K/V plus one (_ORACLE_ROWS x S) oracle strip, in float64 bytes:
 MAX_WORKING_SET_BYTES = 1 << 28
 # (query chunk x KV chunk) blocks of one mesh, S / query_chunk * S / kv_chunk:
@@ -210,12 +212,12 @@ class DospLimits:
     all_to_all_dosp: int
 
 
-def _allowed_mask(p: AttentionProblem, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Legal (query row, key col) pairs: positions (..., R) and (..., C) give (..., R, C)."""
-    allowed = p.segment_ids[rows][..., :, None] == p.segment_ids[cols][..., None, :]
-    if p.causal:
-        allowed &= cols[..., None, :] <= rows[..., :, None]
-    return allowed
+def _legal_keys(p: AttentionProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Row i's legal keys [lo[i], hi[i]]: its segment's start to i (causal) or to the segment's end."""
+    seg = p.segment_ids
+    lo = np.searchsorted(seg, seg, side="left")
+    hi = np.arange(p.seq_len) if p.causal else np.searchsorted(seg, seg, side="right") - 1
+    return lo.astype(np.int32), hi.astype(np.int32)
 
 
 def _oracle_blocks(p: AttentionProblem):
@@ -223,20 +225,30 @@ def _oracle_blocks(p: AttentionProblem):
 
     Yields (rows, cols, weights), weights of shape (len(rows), len(cols)).
     See the module docstring for the span. Each row is a full softmax over
-    its span, with masked-out pairs exactly 0.0.
+    its span, masked-out pairs exactly 0.0, computed in place in one strip.
     """
-    seg = p.segment_ids
+    lo, hi = _legal_keys(p)
     for start in range(0, p.seq_len, _ORACLE_ROWS):
-        rows = slice(start, min(start + _ORACLE_ROWS, p.seq_len))
-        first = int(np.searchsorted(seg, seg[start], side="left"))
-        stop = rows.stop if p.causal else int(np.searchsorted(seg, seg[rows.stop - 1], side="right"))
-        cols = slice(first, stop)
-        scores = (p.q[rows] @ p.k[cols].T) * p.scale
-        legal = _allowed_mask(p, np.arange(start, rows.stop), np.arange(first, stop))
-        scores = np.where(legal, scores, -np.inf)
-        scores -= scores.max(axis=1, keepdims=True)
-        w = np.exp(scores)
-        yield rows, cols, w / w.sum(axis=1, keepdims=True)
+        stop = min(start + _ORACLE_ROWS, p.seq_len)
+        first, end = lo[start], hi[stop - 1] + 1
+        w = p.q[start:stop] @ p.k[first:end].T
+        w *= p.scale
+        # Keys from lo[stop - 1] to hi[start] are legal for every row: only keys below can
+        # precede a row's segment and only keys above can follow its last legal key.
+        below = np.arange(first, lo[stop - 1], dtype=np.int32)
+        above = np.arange(hi[start] + 1, end, dtype=np.int32)
+        edges = [(w[:, : below.size], below < lo[start:stop, None])]
+        edges.append((w[:, w.shape[1] - above.size :], above > hi[start:stop, None]))
+        for x, illegal in edges:
+            np.copyto(x, -np.inf, where=illegal)
+        w -= w.max(axis=1, keepdims=True)
+        for x, illegal in edges:  # exp is slow at -inf: masked scores take exp(0), zeroed after
+            np.copyto(x, 0.0, where=illegal)
+        np.exp(w, out=w)
+        for x, illegal in edges:
+            np.copyto(x, 0.0, where=illegal)
+        w /= w.sum(axis=1, keepdims=True)
+        yield slice(start, stop), slice(first, end), w
 
 
 def attention_weights(p: AttentionProblem) -> np.ndarray:
@@ -289,18 +301,7 @@ def _live_ranges(p: AttentionProblem, query_chunk: int, kv_chunk: int) -> tuple[
         q_first = np.arange(0, p.seq_len, query_chunk)
         hi = np.minimum(hi, (q_first + query_chunk - 1) // kv_chunk + 1)
         fhi = np.minimum(fhi, (q_first + 1) // kv_chunk)
-    return lo, hi, flo, np.maximum(fhi, flo)
-
-
-def _classify_blocks(p: AttentionProblem, query_chunk: int, kv_chunk: int):
-    """Live and full flags of every (query chunk x KV chunk) block.
-
-    Returns two boolean arrays of shape (S / query_chunk, S / kv_chunk),
-    expanded from _live_ranges; a block that is not live is empty.
-    """
-    lo, hi, flo, fhi = (a[:, None] for a in _live_ranges(p, query_chunk, kv_chunk))
-    k = np.arange(p.seq_len // kv_chunk)
-    return (lo <= k) & (k < hi), (flo <= k) & (k < fhi)
+    return tuple(a.astype(np.int32) for a in (lo, hi, flo, np.maximum(fhi, flo)))
 
 
 def _fold_schedule(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, ...]:
@@ -320,12 +321,12 @@ def _fold_schedule(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, ...
     """
     lo, hi, flo, fhi = _live_ranges(p, mesh.query_chunk, mesh.kv_chunk)
     nq, nkv = lo.size // mesh.device_count, p.seq_len // mesh.kv_chunk // mesh.device_count
-    counts = hi - lo
-    i = np.repeat(np.arange(lo.size), counts)
-    k = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    k += np.arange(k.size)
+    counts, chunks = hi - lo, np.arange(lo.size, dtype=np.int32)  # int32: every index is below 2**22
+    i = np.repeat(chunks, counts)
+    k = np.repeat(lo - (np.cumsum(counts, dtype=np.int32) - counts), counts)
+    k += np.arange(k.size, dtype=np.int32)
     part = k // nkv
-    low_end = np.minimum(hi, (np.arange(lo.size) // nq + 1) * nkv)  # the run's end on devices <= dq
+    low_end = np.minimum(hi, (chunks // nq + 1) * nkv)  # the run's end on devices <= dq
     high = part > i // nq  # only a non-causal run reaches past dq
     t = low_end[i]
     t[high] = hi[i[high]]
@@ -342,10 +343,10 @@ def _fold_schedule(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, ...
     del part, high
 
     order = np.argsort(-counts, kind="stable")
-    row = np.empty_like(order)
-    row[order] = np.arange(lo.size)
+    row = np.empty_like(chunks)
+    row[order] = chunks
     widths = lo.size - np.cumsum(np.bincount(counts))[:-1]
-    at = (np.cumsum(widths) - widths)[t]  # first block of step t, by (t, state row)
+    at = (np.cumsum(widths) - widths).astype(np.int32)[t]  # first block of step t, by (t, state row)
     del t
     at += row[i]
     qi, ki = np.empty_like(i), np.empty_like(k)
@@ -375,6 +376,17 @@ def _slabs(widths: list[int], cap: int):
             t += len(ns)
 
 
+def _slab_cap(qc: int, kc: int, d: int) -> int:
+    """Blocks per ring slab: as many as _SLAB_BYTES hold, and at least one."""
+    # Per block, in float64s: scores and mask; Q, K and V; P.V and P.V | rowsum; row max, shift, alpha.
+    return max(1, _SLAB_BYTES // (8 * (2 * qc * kc + 3 * qc * d + 2 * kc * d + 3 * qc)))
+
+
+def _rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """a[index] along axis 0: a view for one index, else a copy (take beats a[index] on int32)."""
+    return a[index[0] : index[0] + 1] if index.size == 1 else a.take(index, axis=0)
+
+
 def blockwise_attention(p: AttentionProblem, query_chunk: int, kv_chunk: int) -> np.ndarray:
     """Streaming attention over query/KV chunks on one device; equals exact_attention."""
     return ring_attention(p, RingMesh(1, query_chunk, kv_chunk))[0]
@@ -401,23 +413,26 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
     P, qc, kc, d = mesh.device_count, mesh.query_chunk, mesh.kv_chunk, p.head_dim
     n_q, n_kv = p.seq_len // qc, p.seq_len // kc
     row, widths, qi_all, ki_all, full = _fold_schedule(p, mesh)
+    lo, hi = _legal_keys(p)
 
     q, key, v = p.q.reshape(n_q, qc, d), p.k.reshape(n_kv, kc, d), p.v.reshape(n_kv, kc, d)
     m, state = np.full((n_q, qc), -np.inf), np.zeros((n_q, qc, d + 1))  # state: acc | l
     # Allocated before the fold: allocated after it, ring_long's peak RSS was about 4 MiB higher.
     out = np.empty((n_q, qc, d))
-    cap, first, slabs = max(1, _BATCH_SCORES // (qc * kc)), 0, 0
-    for c0, ns in _slabs(widths.tolist(), cap):
+    first, slabs = 0, 0
+    for c0, ns in _slabs(widths.tolist(), _slab_cap(qc, kc, d)):
         # Batched: scores, mask, running max, shift, alpha, exp, row sums and P.V of every block.
         w, blocks = ns[0], slice(first, first + sum(ns))
         qi, ki, first, slabs = qi_all[blocks], ki_all[blocks], blocks.stop, slabs + 1
-        # A one-block slab takes basic slices, so every operand is a view, not a gathered copy.
-        qs, ks = (slice(qi[0], qi[0] + 1), slice(ki[0], ki[0] + 1)) if qi.size == 1 else (qi, ki)
-        scores = q[qs] @ key[ks].transpose(0, 2, 1)
+        scores = _rows(q, qi) @ _rows(key, ki).transpose(0, 2, 1)
         scores *= p.scale
-        if not full[blocks].all():  # a full block's mask would keep every score
-            rows_at, cols_at = (qi * qc)[:, None] + np.arange(qc), (ki * kc)[:, None] + np.arange(kc)
-            np.copyto(scores, -np.inf, where=~_allowed_mask(p, rows_at, cols_at))
+        partial = np.flatnonzero(~full[blocks])  # a full block's mask would keep every score
+        if partial.size:
+            rows = (qi[partial] * qc)[:, None] + np.arange(qc)
+            keys = (ki[partial] * kc)[:, None, None] + np.arange(kc, dtype=np.int32)
+            illegal = np.zeros(scores.shape, bool)
+            illegal[partial] = (keys < lo[rows][..., None]) | (keys > hi[rows][..., None])
+            np.copyto(scores, -np.inf, where=illegal)
         # Running max of each state row over its steps, seeded with its carried max:
         # a (step x state row) grid, -inf where a row has stopped folding.
         grid = np.full((len(ns) + 1, w, qc), -np.inf)
@@ -426,7 +441,8 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
         cells = slice(None)  # the grid's cells that hold a block, in block order
         if ns[-1] < w:
             cells = np.flatnonzero(np.arange(w) < np.array(ns)[:, None])
-        after[cells] = scores.max(axis=2)
+        # Row max: reduceat's per-row loop costs less than max(axis=2)'s, and a max is exact in any order.
+        after[cells] = np.maximum.reduceat(scores.reshape(-1), np.arange(0, scores.size, kc)).reshape(-1, qc)
         np.maximum.accumulate(grid, axis=0, out=grid)
         m[c0 : c0 + w] = grid[-1]
         new_m = after[cells]
@@ -437,9 +453,13 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
         alpha = np.exp(before[cells] - shift)[..., None]
         e = scores
         e -= shift[..., None]
+        if partial.size:  # numpy's exp is slow at -inf, so masked scores take exp(0) and are zeroed after
+            np.copyto(e, 0.0, where=illegal)
         np.exp(e, out=e)
+        if partial.size:
+            np.copyto(e, 0.0, where=illegal)
         terms = np.empty((qi.size, qc, d + 1))
-        np.matmul(e, v[ks], out=terms[..., :d])
+        np.matmul(e, _rows(v, ki), out=terms[..., :d])
         terms[..., d] = e.sum(axis=2)
         # Sequential: per fold step, acc = alpha * acc + P.V and l = alpha * l + rowsum.
         b = 0

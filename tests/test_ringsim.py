@@ -7,19 +7,23 @@ the vectorized implementations it checks.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from longctx import ringsim
 from longctx.ringsim import (
-    _BATCH_SCORES,
+    _ORACLE_ROWS,
     MAX_CLASSIFIED_BLOCKS,
     MAX_WORKING_SET_BYTES,
     AttentionProblem,
     RingMesh,
     RingStep,
-    _classify_blocks,
+    _legal_keys,
+    _live_ranges,
+    _slab_cap,
     attention_weights,
     blockwise_attention,
     dosp_limits,
@@ -48,6 +52,37 @@ def brute_force_attention(p: AttentionProblem) -> np.ndarray:
             for t in range(d):
                 out[i, t] += (w / denom) * p.v[j, t]
     return out
+
+
+def allowed_mask(p: AttentionProblem, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Pairwise legality: positions (..., R) and (..., C) give (..., R, C)."""
+    allowed = p.segment_ids[rows][..., :, None] == p.segment_ids[cols][..., None, :]
+    if p.causal:
+        allowed &= cols[..., None, :] <= rows[..., :, None]
+    return allowed
+
+
+def classify_blocks(p: AttentionProblem, query_chunk: int, kv_chunk: int):
+    """Live and full flags of every (query chunk x KV chunk) block, expanded from _live_ranges."""
+    lo, hi, flo, fhi = (a[:, None] for a in _live_ranges(p, query_chunk, kv_chunk))
+    k = np.arange(p.seq_len // kv_chunk)
+    return (lo <= k) & (k < hi), (flo <= k) & (k < fhi)
+
+
+def per_pass_oracle_blocks(p: AttentionProblem):
+    """The row-blocked oracle with a fresh strip per pass and the pairwise mask; yields (rows, cols, weights)."""
+    seg = p.segment_ids
+    for start in range(0, p.seq_len, _ORACLE_ROWS):
+        rows = slice(start, min(start + _ORACLE_ROWS, p.seq_len))
+        first = int(np.searchsorted(seg, seg[start], side="left"))
+        stop = rows.stop if p.causal else int(np.searchsorted(seg, seg[rows.stop - 1], side="right"))
+        cols = slice(first, stop)
+        scores = (p.q[rows] @ p.k[cols].T) * p.scale
+        legal = allowed_mask(p, np.arange(start, rows.stop), np.arange(first, stop))
+        scores = np.where(legal, scores, -np.inf)
+        scores -= scores.max(axis=1, keepdims=True)
+        w = np.exp(scores)
+        yield rows, cols, w / w.sum(axis=1, keepdims=True)
 
 
 def max_rel_error(actual: np.ndarray, reference: np.ndarray) -> float:
@@ -188,7 +223,7 @@ class TestRowBlockedOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 32 * 2**20  # 19.8 MiB measured
 
 
 class TestMaskSoundness:
@@ -325,7 +360,7 @@ class TestBlockClassification:
             for i in range(S)
         ])
         blocks = legal.reshape(S // qc, qc, S // kc, kc).transpose(0, 2, 1, 3)
-        live, full = _classify_blocks(p, qc, kc)
+        live, full = classify_blocks(p, qc, kc)
         assert np.array_equal(live, blocks.any(axis=(2, 3)))  # empty <=> no legal pair
         assert np.array_equal(full, blocks.all(axis=(2, 3)))  # full <=> every pair legal
 
@@ -335,6 +370,23 @@ class TestBlockClassification:
         assert trace.blocks_visited == np.count_nonzero(live)
         assert trace.blocks_full == np.count_nonzero(full)
         assert max_rel_error(out, exact_attention(p)) < 1e-6
+
+    @given(ring_layouts())
+    def test_interval_mask_matches_pairwise_reference(self, layout):
+        # Zero scores give every legal key a positive weight, and V = I reads each
+        # weight off the output, so the oracle's strips and the ring's partial blocks
+        # must mask exactly the pairs the pairwise reference rejects.
+        segment_ids, mesh, causal = layout
+        S = segment_ids.size
+        p = AttentionProblem(
+            q=np.zeros((S, S)), k=np.zeros((S, S)), v=np.eye(S), segment_ids=segment_ids, causal=causal,
+        )
+        legal = allowed_mask(p, np.arange(S), np.arange(S))
+        lo, hi = _legal_keys(p)
+        assert np.array_equal((lo[:, None] <= np.arange(S)) & (np.arange(S) <= hi[:, None]), legal)
+        assert np.array_equal(attention_weights(p) > 0, legal)
+        assert np.array_equal(exact_attention(p) > 0, legal)
+        assert np.array_equal(ring_attention(p, mesh)[0] > 0, legal)
 
     def test_packed_causal_ring_counts(self):
         # Two 8-token documents in 2-token chunks: each document's 4 x 4
@@ -354,7 +406,7 @@ def per_block_ring(p: AttentionProblem, mesh: RingMesh) -> np.ndarray:
     """
     P, qc, kc = mesh.device_count, mesh.query_chunk, mesh.kv_chunk
     per_device = p.seq_len // P
-    live, full = _classify_blocks(p, qc, kc)
+    live, full = classify_blocks(p, qc, kc)
     qi, ki = np.nonzero(live)
     step = (qi // (per_device // qc) - ki // (per_device // kc)) % P
     order = np.lexsort((ki, qi, step))
@@ -382,9 +434,10 @@ def per_block_ring(p: AttentionProblem, mesh: RingMesh) -> np.ndarray:
     return acc / l[:, None]
 
 
-# (query_chunk, kv_chunk) with 512 to 8,192 scores per block, around the kernel's
-# 4,096-score slab: slabs of eight, four or two blocks, whose widest fold steps
-# are cut across slabs, and one-block slabs of views at and above it.
+# (query_chunk, kv_chunk) with 512 to 8,192 scores per block. With SLAB_BUDGETS
+# (a byte budget of 1 makes every slab one block of views) they give slabs of one
+# block up to dozens, whose widest fold steps are cut across slabs.
+SLAB_BUDGETS = [1, 1 << 14, 1 << 17, ringsim._SLAB_BYTES]
 CAP_CHUNKS = [(8, 64), (64, 8), (16, 64), (32, 64), (64, 32), (64, 64), (32, 128), (64, 128), (128, 64)]
 
 
@@ -410,22 +463,34 @@ def packed_ring_problems(draw):
     return p, RingMesh(P, qc, kc)
 
 
+class TestInPlaceOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(multi_block_problems(), packed_ring_problems().map(lambda case: case[0])))
+    def test_bit_identical_to_per_pass_oracle(self, p):
+        weights, out = np.zeros((p.seq_len, p.seq_len)), np.empty_like(p.v)
+        for rows, cols, w in per_pass_oracle_blocks(p):
+            weights[rows, cols], out[rows] = w, w @ p.v[cols]
+        assert np.array_equal(attention_weights(p), weights)
+        assert np.array_equal(exact_attention(p), out)
+
+
 class TestBatchedKernel:
     @settings(max_examples=60, deadline=None)
-    @given(packed_ring_problems())
-    def test_bit_identical_to_one_block_per_call(self, case):
+    @given(packed_ring_problems(), st.sampled_from(SLAB_BUDGETS))
+    def test_bit_identical_to_one_block_per_call(self, case, budget):
         p, mesh = case
-        out, trace = ring_attention(p, mesh)
+        with mock.patch.object(ringsim, "_SLAB_BYTES", budget):
+            out, trace = ring_attention(p, mesh)
         assert np.array_equal(out, per_block_ring(p, mesh))
         assert 1 <= trace.kernel_calls <= trace.blocks_visited
 
     def test_few_slabs_at_one_token_chunks(self):
-        # S = P: each device holds one token, and a slab scores up to _BATCH_SCORES 1 x 1 blocks.
+        # S = P: each device holds one token, and a slab scores up to _slab_cap(1, 1, 4) 1 x 1 blocks.
         P = 256
         p = random_problem(P, 4, np.random.default_rng(21))
         out, trace = ring_attention(p, RingMesh(P, 1, 1))
         assert trace.kernel_calls <= 2 * P
-        assert trace.blocks_visited == np.count_nonzero(_classify_blocks(p, 1, 1)[0])
+        assert trace.blocks_visited == np.count_nonzero(classify_blocks(p, 1, 1)[0])
         assert max_rel_error(out, exact_attention(p)) < 1e-6
 
     @given(ring_layouts())
@@ -442,18 +507,18 @@ class TestBatchedKernel:
         live_per_query_chunk = legal.reshape(S // qc, qc, S // kc, kc).any(axis=(1, 3)).sum(axis=1)
         _, trace = ring_attention(p, mesh)
         assert trace.fold_steps == live_per_query_chunk.max()
-        assert trace.fold_steps == _classify_blocks(p, qc, kc)[0].sum(axis=1).max()
+        assert trace.fold_steps == classify_blocks(p, qc, kc)[0].sum(axis=1).max()
         assert trace.fold_steps <= trace.blocks_visited
 
     def test_fold_step_cut_across_slabs(self):
-        # A slab holds _BATCH_SCORES / 64 blocks of 8 x 8. One causal document over
-        # 1.5 slabs' worth of query chunks: its early fold steps fold every query
-        # chunk, more than a slab holds, so each is cut across two slabs. A slab
+        # A slab holds _slab_cap(16, 16, 64) blocks. One causal document over about
+        # 1.4 slabs' worth of query chunks: its early fold steps fold more query
+        # chunks than a slab holds, so each is cut across two slabs. A slab
         # holding whole steps only would give kernel_calls <= fold_steps.
-        qc = kc = 8
-        per_slab = _BATCH_SCORES // (qc * kc)
+        qc = kc = 16
+        per_slab = _slab_cap(qc, kc, 64)
         S = 4 * qc * (3 * per_slab // 8)
-        p = random_problem(S, 4, np.random.default_rng(23), num_segments=1)
+        p = random_problem(S, 64, np.random.default_rng(23), num_segments=1)
         mesh = RingMesh(4, qc, kc)
         out, trace = ring_attention(p, mesh)
         assert S // qc > per_slab
@@ -464,12 +529,12 @@ class TestBatchedKernel:
         # Non-causal, one document: every query chunk folds at every step, so every
         # step is cut and its second slab starts at state row per_slab, seeded with
         # the max carried from that row's earlier steps. Large scores move the max often.
-        qc = kc = 8
-        per_slab = _BATCH_SCORES // (qc * kc)
+        qc = kc = 16
+        per_slab = _slab_cap(qc, kc, 64)
         S = 2 * qc * per_slab
         rng = np.random.default_rng(24)
         p = AttentionProblem(
-            q=8 * rng.standard_normal((S, 4)), k=rng.standard_normal((S, 4)), v=rng.standard_normal((S, 4)),
+            q=8 * rng.standard_normal((S, 64)), k=rng.standard_normal((S, 64)), v=rng.standard_normal((S, 64)),
             segment_ids=np.zeros(S, dtype=np.int64), causal=False,
         )
         mesh = RingMesh(2, qc, kc)
@@ -498,7 +563,7 @@ class TestBatchedKernel:
         finally:
             tracemalloc.stop()
         assert trace.blocks_visited == trace.blocks_full == 1 << 20
-        assert peak < 96 * 2**20
+        assert peak < 32 * 2**20  # 22.4 MiB measured
 
 
 class TestSeqLenBound:
