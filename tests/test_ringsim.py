@@ -70,7 +70,7 @@ def classify_blocks(p: AttentionProblem, query_chunk: int, kv_chunk: int):
 
 
 def per_pass_oracle_blocks(p: AttentionProblem):
-    """The row-blocked oracle with a fresh strip per pass and the pairwise mask; yields (rows, cols, weights)."""
+    """The row-blocked oracle with a fresh strip per pass and the pairwise mask: (rows, cols, weights)."""
     seg = p.segment_ids
     for start in range(0, p.seq_len, _ORACLE_ROWS):
         rows = slice(start, min(start + _ORACLE_ROWS, p.seq_len))
@@ -534,8 +534,8 @@ class TestBatchedKernel:
         S = 2 * qc * per_slab
         rng = np.random.default_rng(24)
         p = AttentionProblem(
-            q=8 * rng.standard_normal((S, 64)), k=rng.standard_normal((S, 64)), v=rng.standard_normal((S, 64)),
-            segment_ids=np.zeros(S, dtype=np.int64), causal=False,
+            q=8 * rng.standard_normal((S, 64)), k=rng.standard_normal((S, 64)),
+            v=rng.standard_normal((S, 64)), segment_ids=np.zeros(S, dtype=np.int64), causal=False,
         )
         mesh = RingMesh(2, qc, kc)
         out, trace = ring_attention(p, mesh)
