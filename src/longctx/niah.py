@@ -493,6 +493,8 @@ def run_grid(
     depths = tuple(float(x) for x in depths)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if max_tokens < 1:
+        raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
     if not 1 <= max_concurrency <= MAX_CONCURRENCY:
         raise ValueError(f"max_concurrency={max_concurrency} is not in [1, MAX_CONCURRENCY={MAX_CONCURRENCY}]")
     if not lengths or not depths:

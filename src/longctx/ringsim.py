@@ -23,27 +23,25 @@ which is what lets the ring schedule match the oracle.
 
 Segments are contiguous, so row i's legal keys are one interval
 [lo_i, hi_i], from its segment's start to i (causal) or to the segment's
-end; both never decrease. Each query chunk's live and full KV chunks are
-found from the segment ids at the chunks' first and last tokens: a block
-is *empty* when its two segment ranges do not overlap or (causal) its
-first key comes after its last query, and *full* when both chunks lie in
-one segment and (causal) its last key is at or before its first query;
-every other block is *partial*. Each query chunk's live blocks, and its
-full ones, are one contiguous run of KV chunks. Empty blocks are skipped,
-full blocks skip the mask and a partial block masks each row's keys
-outside [lo_i, hi_i]. Skipping is exact, not an approximation: an empty
-block's scores are all -inf, so it leaves every row's max unchanged
-(alpha = 1, or the state is still zero) and adds exp(-inf) = 0 to the
-sums; a full block's mask selects every score. Outputs are bitwise those
-of visiting every block.
-
-The oracle's key span for a row block is [lo of its first row, hi of its
-last row]. Every legal key of every row in the block lies inside it, and
-every key outside it would get weight exactly 0.0, so the span changes
-which zeros are summed, not the result; only its edges need the mask.
-exact_attention never holds an S x S array, only one strip of at most
-256 x S, which every pass updates in place; attention_weights returns the
-full matrix.
+end; _legal_keys is the only place causality enters. Both bounds never
+decrease and each interval holds its row, so the rows of a run together
+read keys within [lo of its first row, hi of its last row], its *span*,
+and every one of them reads all of [lo of its last row, hi of its first
+row], its *core*. A (query chunk x KV chunk) block is *empty* when the KV
+chunk misses the query chunk's span, *full* when it lies in the core and
+*partial* otherwise, so each query chunk's live blocks, and its full
+ones, are one contiguous run of KV chunks. Empty blocks are skipped, full
+blocks skip the mask and a partial block masks each row's keys outside
+[lo_i, hi_i]. The oracle takes the span of each block of 256 query rows
+and masks only its edges outside the core. Skipping is exact, not an
+approximation: an empty block's scores are all -inf, so it leaves every
+row's max unchanged (alpha = 1, or the state is still zero) and adds
+exp(-inf) = 0 to the sums; a full block's mask selects every score; and
+every key outside a span would get weight exactly 0.0, so the oracle's
+span changes which zeros are summed, not the result. Outputs are bitwise
+those of visiting every block. exact_attention never holds an S x S
+array, only one strip of at most 256 x S, which every pass updates in
+place; attention_weights returns the full matrix.
 
 ring_attention folds each query chunk's live blocks in the ring's order:
 KV partitions as they arrive, each in KV chunk order. A block's fold step
@@ -233,8 +231,7 @@ def _oracle_blocks(p: AttentionProblem):
         first, end = lo[start], hi[stop - 1] + 1
         w = p.q[start:stop] @ p.k[first:end].T
         w *= p.scale
-        # Keys from lo[stop - 1] to hi[start] are legal for every row: only keys below can
-        # precede a row's segment and only keys above can follow its last legal key.
+        # Keys in the core, lo[stop - 1] to hi[start], are legal for every row.
         below = np.arange(first, lo[stop - 1], dtype=np.int32)
         above = np.arange(hi[start] + 1, end, dtype=np.int32)
         edges = [(w[:, : below.size], below < lo[start:stop, None])]
@@ -280,32 +277,22 @@ def exact_attention(p: AttentionProblem, weights_csv: TextIO | None = None) -> n
     return out
 
 
-def _live_ranges(p: AttentionProblem, query_chunk: int, kv_chunk: int) -> tuple[np.ndarray, ...]:
+def _live_ranges(lo: np.ndarray, hi: np.ndarray, query_chunk: int, kv_chunk: int) -> tuple[np.ndarray, ...]:
     """KV chunk runs [lo, hi) of live blocks and [flo, fhi) of full blocks, per query chunk.
 
-    A block is live when it holds at least one legal pair and full when
-    every pair in it is legal. Segment ids never decrease, so a query
-    chunk's live blocks are the KV chunks whose segment range overlaps its
-    own, and its full blocks, when it lies in one segment, those lying in
-    that segment; each is one run, which causality only cuts short. Every
-    query chunk holds its own diagonal, so lo < hi.
+    A block is live when it holds at least one legal pair, so when its KV
+    chunk meets the query chunk's span, and full when every pair in it is
+    legal, so when its KV chunk lies in the core (see the module docstring).
+    An empty full run is clamped to start where it ends. Every query chunk
+    holds its own diagonal, so lo < hi.
     """
-    seg = p.segment_ids
-    q_seg0, q_seg1 = seg[::query_chunk], seg[query_chunk - 1 :: query_chunk]
-    k_seg0, k_seg1 = seg[::kv_chunk], seg[kv_chunk - 1 :: kv_chunk]
-    lo = np.searchsorted(k_seg1, q_seg0, side="left")
-    hi = np.searchsorted(k_seg0, q_seg1, side="right")
-    flo = np.searchsorted(k_seg0, q_seg0, side="left")
-    fhi = np.where(q_seg0 == q_seg1, np.searchsorted(k_seg1, q_seg0, side="right"), flo)
-    if p.causal:
-        q_first = np.arange(0, p.seq_len, query_chunk)
-        hi = np.minimum(hi, (q_first + query_chunk - 1) // kv_chunk + 1)
-        fhi = np.minimum(fhi, (q_first + 1) // kv_chunk)
-    return tuple(a.astype(np.int32) for a in (lo, hi, flo, np.maximum(fhi, flo)))
+    qc, kc = query_chunk, kv_chunk
+    flo = -(-lo[qc - 1 :: qc] // kc)
+    return lo[::qc] // kc, hi[qc - 1 :: qc] // kc + 1, flo, np.maximum((hi[::qc] + 1) // kc, flo)
 
 
-def _fold_schedule(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, ...]:
-    """Every live block in fold-step order, built from the live runs.
+def _fold_schedule(lo: np.ndarray, hi: np.ndarray, mesh: RingMesh) -> tuple[np.ndarray, ...]:
+    """Every live block in fold-step order, from the legal-key intervals and the mesh alone (no Q/K/V).
 
     Returns (row, widths, qi, ki, full). Query chunk c folds into state row
     row[c]; rows go by descending live-block count, so the rows that fold
@@ -319,8 +306,8 @@ def _fold_schedule(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, ...
     the run's part below k in k's partition, the run's parts in the
     partitions folded before k's and, past dq, the whole run up to dq.
     """
-    lo, hi, flo, fhi = _live_ranges(p, mesh.query_chunk, mesh.kv_chunk)
-    nq, nkv = lo.size // mesh.device_count, p.seq_len // mesh.kv_chunk // mesh.device_count
+    nq, nkv = (lo.size // c // mesh.device_count for c in (mesh.query_chunk, mesh.kv_chunk))
+    lo, hi, flo, fhi = _live_ranges(lo, hi, mesh.query_chunk, mesh.kv_chunk)
     counts, chunks = hi - lo, np.arange(lo.size, dtype=np.int32)  # int32: every index is below 2**22
     i = np.repeat(chunks, counts)
     k = np.repeat(lo - (np.cumsum(counts, dtype=np.int32) - counts), counts)
@@ -412,8 +399,9 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
     mesh.validate_for(p.seq_len)
     P, qc, kc, d = mesh.device_count, mesh.query_chunk, mesh.kv_chunk, p.head_dim
     n_q, n_kv = p.seq_len // qc, p.seq_len // kc
-    row, widths, qi_all, ki_all, full = _fold_schedule(p, mesh)
     lo, hi = _legal_keys(p)
+    row, widths, qi_all, ki_all, full = _fold_schedule(lo, hi, mesh)
+    lo, hi = lo.reshape(n_q, qc, 1), hi.reshape(n_q, qc, 1)  # by query chunk, for the partial-block mask
 
     q, key, v = p.q.reshape(n_q, qc, d), p.k.reshape(n_kv, kc, d), p.v.reshape(n_kv, kc, d)
     m, state = np.full((n_q, qc), -np.inf), np.zeros((n_q, qc, d + 1))  # state: acc | l
@@ -428,10 +416,10 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
         scores *= p.scale
         partial = np.flatnonzero(~full[blocks])  # a full block's mask would keep every score
         if partial.size:
-            rows = (qi[partial] * qc)[:, None] + np.arange(qc)
+            qp = qi[partial]
             keys = (ki[partial] * kc)[:, None, None] + np.arange(kc, dtype=np.int32)
             illegal = np.zeros(scores.shape, bool)
-            illegal[partial] = (keys < lo[rows][..., None]) | (keys > hi[rows][..., None])
+            illegal[partial] = (keys < lo.take(qp, axis=0)) | (keys > hi.take(qp, axis=0))
             np.copyto(scores, -np.inf, where=illegal)
         # Running max of each state row over its steps, seeded with its carried max:
         # a (step x state row) grid, -inf where a row has stopped folding.
@@ -507,8 +495,9 @@ def random_problem(
     Raises ValueError before allocating when Q/K/V plus one oracle strip
     would take more than MAX_WORKING_SET_BYTES.
     """
-    if seq_len < 1:
-        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
+    for name, n in (("seq_len", seq_len), ("head_dim", head_dim), ("num_segments", num_segments)):
+        if n is not None and n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
     working_set = 8 * seq_len * (3 * head_dim + _ORACLE_ROWS)
     if working_set > MAX_WORKING_SET_BYTES:
         raise ValueError(

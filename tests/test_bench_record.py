@@ -1,4 +1,4 @@
-"""Argument checks of tools/bench_record.py that need no perfbench run."""
+"""Checks of tools/bench_record.py that need no perfbench run."""
 
 import importlib.util
 from pathlib import Path
@@ -25,3 +25,29 @@ def test_repeated_side_label_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "'a' is given more than once" in capsys.readouterr().err
     assert not out.exists()
+
+
+def entry(side, values):
+    q1, median, q3 = load_tool().quartiles(values)
+    return {"side": side, "workload": "w", "metric": "m", "median": median, "iqr": q3 - q1, "values": values}
+
+
+@pytest.mark.parametrize(
+    "better, change, verdict",
+    [
+        ("lower", [v * 1.3 for v in range(10, 20)], "; regressed"),  # 30% worse, past the 25% bound
+        ("lower", [v * 1.2 for v in range(10, 20)], ""),  # 20% worse: inside the bound
+        ("higher", [v * 0.7 for v in range(10, 20)], "; regressed"),
+        ("higher", [v * 1.4 for v in range(10, 20)], "; gain rule met"),  # 10 of 10, 5.8 > IQR 4.5
+        ("higher", [v + 4 for v in range(10, 20)], ""),  # 10 of 10, but 4 < IQR 4.5
+        ("higher", [5] + [v + 6 for v in range(11, 20)], "; gain rule met"),  # 9 of 10 is enough
+        ("higher", [5, 5] + [v + 6 for v in range(12, 20)], ""),  # 8 of 10 is not
+    ],
+)
+def test_pairwise_summary_verdicts(better, change, verdict):
+    parent = list(range(10, 20))  # median 14.5, IQR 4.5
+    entries = [entry("parent", parent), entry("change", change)]
+    metric = {"name": "m", "better": better, "bound": 0.25}
+    (line,) = load_tool().pairwise_summary(entries, [metric])
+    assert line.startswith("w m: parent 14.5 (IQR 4.5), change ")
+    assert line.endswith(" seeds" + verdict)

@@ -131,6 +131,14 @@ class TestRingsim:
         check_schema("error", error)
         assert error["error"]["message"] == "seq_len must be >= 1, got 0"
 
+    def test_negative_head_dim_is_domain_error(self, capsys):
+        # Checked before the working-set arithmetic, so numpy never sees the shape.
+        error = run_domain_error(
+            capsys, "ringsim", "--seq-len", "8", "--devices", "2", "--q-chunk", "2", "--kv-chunk", "2",
+            "--head-dim", "-4",
+        )
+        assert (error["type"], error["message"]) == ("ValueError", "head_dim must be >= 1, got -4")
+
     def test_dump_weights_bytes_match_dense_savetxt(self, capsys, tmp_path):
         # 520 tokens span three 256-row oracle blocks; the middle document
         # straddles both block edges.
@@ -202,8 +210,9 @@ class TestMemplan:
             ("--budget", "-1"),
             ("--budget", "0"),
             ("--extra-term", "a=1", "--extra-term", "a=2"),
+            ("--extra-term", "=5"),  # would be a "" breakdown key
         ],
-        ids=["table-name", "negative-term", "negative-budget", "zero-budget", "repeated-term"],
+        ids=["table-name", "negative-term", "negative-budget", "zero-budget", "repeated-term", "empty-name"],
     )
     def test_report_inputs_that_break_the_total_are_domain_errors(self, capsys, flags):
         error = run_domain_error(
@@ -371,6 +380,15 @@ class TestNiah:
             "--concurrency", concurrency,
         )
         assert "MAX_CONCURRENCY" in error["message"]
+
+    @pytest.mark.parametrize("max_tokens", ["0", "-1"])
+    def test_grid_nonpositive_max_tokens_is_domain_error(self, capsys, max_tokens):
+        # Rejected before any case is generated, so no client would be asked for it.
+        error = run_domain_error(
+            capsys, "niah-grid", "--lengths", "600", "--depths", "0", "--stub", "echo",
+            "--max-tokens", max_tokens,
+        )
+        assert (error["type"], error["message"]) == ("ValueError", f"max_tokens must be >= 1, got {max_tokens}")
 
     def test_grid_without_endpoint_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("LONGCTX_ENDPOINT", raising=False)

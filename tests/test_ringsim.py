@@ -5,8 +5,11 @@ loops over every key, softmax computed with math.exp, no shared code with
 the vectorized implementations it checks.
 """
 
+import importlib.util
+import itertools
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -64,7 +67,7 @@ def allowed_mask(p: AttentionProblem, rows: np.ndarray, cols: np.ndarray) -> np.
 
 def classify_blocks(p: AttentionProblem, query_chunk: int, kv_chunk: int):
     """Live and full flags of every (query chunk x KV chunk) block, expanded from _live_ranges."""
-    lo, hi, flo, fhi = (a[:, None] for a in _live_ranges(p, query_chunk, kv_chunk))
+    lo, hi, flo, fhi = (a[:, None] for a in _live_ranges(*_legal_keys(p), query_chunk, kv_chunk))
     k = np.arange(p.seq_len // kv_chunk)
     return (lo <= k) & (k < hi), (flo <= k) & (k < fhi)
 
@@ -371,6 +374,51 @@ class TestBlockClassification:
         assert trace.blocks_full == np.count_nonzero(full)
         assert max_rel_error(out, exact_attention(p)) < 1e-6
 
+    def test_every_small_segmentation_and_chunking(self):
+        # Exhaustive where hypothesis samples: every cut set of S = 1..8, every
+        # dividing pair of chunk sizes and both causal flags, 5,954 cases in all,
+        # so every floor and ceil edge of the run bounds is met.
+        cases = 0
+        for S in range(1, 9):
+            divisors = [c for c in range(1, S + 1) if S % c == 0]
+            for cuts, causal in itertools.product(itertools.product([0, 1], repeat=S - 1), [True, False]):
+                segment_ids = np.concatenate([[0], np.cumsum(cuts, dtype=np.int64)])
+                p = AttentionProblem(
+                    q=np.zeros((S, 1)), k=np.zeros((S, 1)), v=np.zeros((S, 1)),
+                    segment_ids=segment_ids, causal=causal,
+                )
+                legal = allowed_mask(p, np.arange(S), np.arange(S))
+                for qc, kc in itertools.product(divisors, divisors):
+                    blocks = legal.reshape(S // qc, qc, S // kc, kc)
+                    live, full = classify_blocks(p, qc, kc)
+                    assert np.array_equal(live, blocks.any(axis=(1, 3))), (segment_ids, causal, qc, kc)
+                    assert np.array_equal(full, blocks.all(axis=(1, 3))), (segment_ids, causal, qc, kc)
+                    # Run lengths are block counts: an empty full run has length 0, never less.
+                    lo, hi, flo, fhi = _live_ranges(*_legal_keys(p), qc, kc)
+                    assert np.array_equal(hi - lo, live.sum(axis=1)) and np.array_equal(fhi - flo, full.sum(axis=1))
+                    cases += 1
+        assert cases == 5954
+
+    def test_block_counts_match_the_benchmark_counter(self):
+        # perfbench/ringcounts.py counts blocks from segment ids by its own
+        # per-row arithmetic (causal problems only), sharing no code with ringsim.
+        path = Path(__file__).parent.parent / "perfbench" / "ringcounts.py"
+        spec = importlib.util.spec_from_file_location("ringcounts", path)
+        ringcounts = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ringcounts)
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            P = int(rng.integers(1, 5))
+            per_device = int(rng.integers(1, 13))
+            divisors = [c for c in range(1, per_device + 1) if per_device % c == 0]
+            qc, kc = (int(c) for c in rng.choice(divisors, size=2))
+            p = random_problem(P * per_device, 2, rng)
+            _, trace = ring_attention(p, RingMesh(P, qc, kc))
+            counts = ringcounts.problem_counts(p.segment_ids, P, qc, kc, p.head_dim)
+            assert trace.blocks_visited == counts["blocks_live"]
+            assert trace.blocks_full == counts["blocks_full"]
+            assert trace.blocks_visited + trace.blocks_skipped == counts["blocks_visited"]
+
     @given(ring_layouts())
     def test_interval_mask_matches_pairwise_reference(self, layout):
         # Zero scores give every legal key a positive weight, and V = I reads each
@@ -574,6 +622,12 @@ class TestSeqLenBound:
     def test_random_problem_rejects_empty_sequence(self):
         with pytest.raises(ValueError, match="seq_len must be >= 1"):
             random_problem(0, 4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["head_dim", "num_segments"])
+    def test_random_problem_rejects_nonpositive_sizes(self, name):
+        sizes = {"seq_len": 8, "head_dim": 4, "num_segments": 2, name: 0}
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            random_problem(rng=np.random.default_rng(0), **sizes)
 
     def test_random_problem_bounds_working_set(self):
         with pytest.raises(ValueError, match=str(MAX_WORKING_SET_BYTES)):

@@ -25,8 +25,11 @@ With two or more sides, stderr then gets one line per workload,
 end-to-end metric and later side: the first side's median and IQR, the
 later side's median, their ratio, and in how many seeds the later side did
 better, in the direction ``BENCHMARK.json`` calls better (a tie is not a
-win). With the IQR on the line, a rule that asks the medians to differ by
-more than the first side's IQR can be checked from that line alone.
+win). The line ends in ``regressed`` when the later median is worse than
+the first by more than the metric's ``bound`` (a fraction of the first
+median), and in ``gain rule met`` when the later side did better in at
+least 9 of 10 seeds and its median is better by more than the first
+side's IQR.
 """
 
 from __future__ import annotations
@@ -126,11 +129,17 @@ def pairwise_summary(entries: list[dict], end_to_end: list[dict]) -> list[str]:
                 sign = 1 if metric["better"] == "higher" else -1
                 wins = sum(sign * (b - a) > 0 for a, b in zip(base["values"], other["values"]))
                 ratio = other["median"] / base["median"] if base["median"] else float("nan")
+                gain = sign * (other["median"] - base["median"])
+                verdicts = []
+                if -gain > metric["bound"] * abs(base["median"]):
+                    verdicts.append("regressed")
+                if 10 * wins >= 9 * len(base["values"]) and gain > base["iqr"]:
+                    verdicts.append("gain rule met")
                 lines.append(
                     f"{workload} {metric['name']}: {first} {base['median']:.4g} "
                     f"(IQR {base['iqr']:.4g}), {later} "
                     f"{other['median']:.4g} (x{ratio:.3f}); {later} better in {wins} of "
-                    f"{len(base['values'])} seeds"
+                    f"{len(base['values'])} seeds" + "".join(f"; {v}" for v in verdicts)
                 )
     return lines
 
