@@ -51,3 +51,11 @@ def test_pairwise_summary_verdicts(better, change, verdict):
     (line,) = load_tool().pairwise_summary(entries, [metric])
     assert line.startswith("w m: parent 14.5 (IQR 4.5), change ")
     assert line.endswith(" seeds" + verdict)
+
+
+def test_one_seed_never_meets_the_gain_rule():
+    # A held-out seed has IQR 0 and wins 1 of 1; that is no evidence of a gain.
+    entries = [entry("parent", [10.0]), entry("change", [20.0])]
+    metric = {"name": "m", "better": "higher", "bound": 0.25}
+    (line,) = load_tool().pairwise_summary(entries, [metric])
+    assert line.endswith("change better in 1 of 1 seeds")

@@ -27,9 +27,9 @@ later side's median, their ratio, and in how many seeds the later side did
 better, in the direction ``BENCHMARK.json`` calls better (a tie is not a
 win). The line ends in ``regressed`` when the later median is worse than
 the first by more than the metric's ``bound`` (a fraction of the first
-median), and in ``gain rule met`` when the later side did better in at
-least 9 of 10 seeds and its median is better by more than the first
-side's IQR.
+median), and in ``gain rule met`` when, over at least ten seeds, the
+later side did better in at least 9 of 10 and its median is better by
+more than the first side's IQR.
 """
 
 from __future__ import annotations
@@ -126,20 +126,20 @@ def pairwise_summary(entries: list[dict], end_to_end: list[dict]) -> list[str]:
                 other = by_key.get((later, workload, metric["name"]))
                 if base is None or other is None:
                     continue
-                sign = 1 if metric["better"] == "higher" else -1
+                sign, n = (1 if metric["better"] == "higher" else -1), len(base["values"])
                 wins = sum(sign * (b - a) > 0 for a, b in zip(base["values"], other["values"]))
                 ratio = other["median"] / base["median"] if base["median"] else float("nan")
                 gain = sign * (other["median"] - base["median"])
                 verdicts = []
                 if -gain > metric["bound"] * abs(base["median"]):
                     verdicts.append("regressed")
-                if 10 * wins >= 9 * len(base["values"]) and gain > base["iqr"]:
+                if n >= 10 and 10 * wins >= 9 * n and gain > base["iqr"]:
                     verdicts.append("gain rule met")
                 lines.append(
                     f"{workload} {metric['name']}: {first} {base['median']:.4g} "
                     f"(IQR {base['iqr']:.4g}), {later} "
                     f"{other['median']:.4g} (x{ratio:.3f}); {later} better in {wins} of "
-                    f"{len(base['values'])} seeds" + "".join(f"; {v}" for v in verdicts)
+                    f"{n} seeds" + "".join(f"; {v}" for v in verdicts)
                 )
     return lines
 
