@@ -173,7 +173,10 @@ def _cmd_memplan(args) -> dict:
             raise ValueError(f"--extra-term must look like name=bytes, got {term!r}")
         if name in extra:
             raise ValueError(f"--extra-term {name!r} is given more than once")
-        extra[name] = int(value)
+        try:
+            extra[name] = int(value)
+        except ValueError:
+            raise ValueError(f"--extra-term bytes must be an integer, got {term!r}") from None
     report = memplan.memory_report(plan, budget_bytes=args.budget, extra_terms=extra)
     return {
         "command": "memplan",
@@ -228,9 +231,8 @@ def _cmd_niah_gen(args) -> dict:
         doc["document_file"] = args.out
     else:
         # The filler is JSON-plain, so only the needle needs escaping.
-        needle = case.needle_template.format(payload=case.needle_payload)
-        start, end = gen.needle_char_offset, gen.needle_char_offset + len(needle)
-        doc["document"] = (gen.document[:start], json.dumps(needle)[1:-1], gen.document[end:])
+        start, end = gen.needle_char_offset, gen.needle_char_offset + len(gen.needle)
+        doc["document"] = (gen.document[:start], json.dumps(gen.needle)[1:-1], gen.document[end:])
     return doc
 
 

@@ -120,15 +120,19 @@ def memory_report(
     """Report on plan's lookup table, extra_terms and, if given, a budget.
 
     Raises ValueError for a budget <= 0 (search_chunk_plan refuses one too),
-    a negative extra term, which would shrink the total, one with an empty
-    name, or one named lookup_table, which would replace the table's own
-    entry in breakdown.
+    an extra term that is not an int (bools included), a negative one, which
+    would shrink the total, one whose name is blank or has leading or
+    trailing whitespace, or one named lookup_table, which would replace the
+    table's own entry in breakdown.
     """
     if budget_bytes is not None and budget_bytes <= 0:
         raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
     extra_terms = dict(extra_terms or {})
-    if "" in extra_terms:
-        raise ValueError("extra term names must be non-empty")
+    for name, nbytes in extra_terms.items():
+        if not isinstance(name, str) or not name or name != name.strip():
+            raise ValueError(f"extra term names must be non-blank with no surrounding whitespace, got {name!r}")
+        if isinstance(nbytes, bool) or not isinstance(nbytes, int):
+            raise ValueError(f"extra term {name!r} must be an integer byte count, got {nbytes!r}")
     if "lookup_table" in extra_terms:
         raise ValueError("extra term name 'lookup_table' is reserved for the modeled table")
     negative = sorted(name for name, nbytes in extra_terms.items() if nbytes < 0)

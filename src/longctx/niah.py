@@ -124,6 +124,7 @@ class NiahCase:
 class GeneratedCase:
     case: NiahCase
     document: str
+    needle: str  # the formatted needle, at needle_char_offset in document
     question: str
     expected: str
     needle_sentence_index: int
@@ -247,6 +248,7 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
     return GeneratedCase(
         case=case,
         document=document,
+        needle=needle,
         question=case.question,
         expected=case.needle_payload,
         needle_sentence_index=insert_at,

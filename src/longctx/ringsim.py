@@ -44,19 +44,20 @@ array, only one strip of at most 256 x S, which every pass updates in
 place; attention_weights returns the full matrix.
 
 ring_attention folds each query chunk's live blocks in the ring's order:
-KV partitions as they arrive, each in KV chunk order. A block's fold step
-t is its rank in that order. Only two updates read the running state,
-l = alpha * l + rowsum and acc = alpha * acc + P.V, so everything else is
-computed ahead of them, batched in slabs whose temporaries fit _SLAB_BYTES:
-QK^T (a stacked matmul, one gemm per block), the scale, the mask of
-partial blocks, the row max, the running max (a cumulative max over t,
-seeded with the max carried from earlier slabs), the shift, alpha, exp,
-the row sums and P.V. The two recurrences then run once per fold step on
-a contiguous slice of the state, whose rows go by descending fold count,
-so the rows still folding at step t come first. Outputs are bitwise those
-of one block per call: every row folds its blocks in the same order, a
-max is exact in any order, and each block gets the same gemms, the same
-sums along its rows and the same elementwise steps as a lone block.
+query device dq gets KV partition dk at ring step (dq - dk) mod P, so a
+block's fold step t is its rank in its query chunk by (ring step, KV
+chunk). Only two updates read the running state, l = alpha * l + rowsum
+and acc = alpha * acc + P.V, so everything else is computed ahead of them,
+batched in slabs whose temporaries fit _SLAB_BYTES: QK^T (a stacked
+matmul, one gemm per block), the scale, the mask of partial blocks, the
+row max, the running max (a cumulative max over t, seeded with the max
+carried from earlier slabs), the shift, alpha, exp, the row sums and P.V.
+The two recurrences then run once per fold step on a contiguous slice of
+the state, whose rows go by descending fold count, so the rows still
+folding at step t come first. Outputs are bitwise those of one block per
+call: every row folds its blocks in the same order, a max is exact in any
+order, and each block gets the same gemms, the same sums along its rows
+and the same elementwise steps as a lone block.
 
 Memory is bounded before anything is allocated: random_problem refuses a
 problem whose Q/K/V plus one oracle strip would pass MAX_WORKING_SET_BYTES,
@@ -114,7 +115,11 @@ class AttentionProblem:
         self.q = np.ascontiguousarray(self.q, dtype=np.float64)
         self.k = np.ascontiguousarray(self.k, dtype=np.float64)
         self.v = np.ascontiguousarray(self.v, dtype=np.float64)
-        self.segment_ids = np.asarray(self.segment_ids, dtype=np.int64)
+        ids = np.asarray(self.segment_ids)
+        with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range floats fail the check below
+            self.segment_ids = ids.astype(np.int64)
+        if ids.dtype.kind == "f" and not np.array_equal(self.segment_ids, ids):
+            raise ValueError("segment_ids must be integers, got non-integral float values")
         if self.q.ndim != 2:
             raise ValueError(f"q must be 2-D (S, d), got shape {self.q.shape}")
         if 0 in self.q.shape:
@@ -299,35 +304,29 @@ def _fold_schedule(lo: np.ndarray, hi: np.ndarray, mesh: RingMesh) -> tuple[np.n
     at step t are the first widths[t]. qi, ki and full give the query chunk,
     KV chunk and full flag of every live block, by (t, state row).
 
-    A block's step t is its rank in its query chunk's fold order: the ring
-    hands query device dq the KV partitions dq, dq - 1, ..., 0, P - 1, ...,
-    dq + 1 in turn, each folded in ascending KV chunk order. The live KV
-    chunks are the run [lo, hi), so the blocks folded before KV chunk k are
-    the run's part below k in k's partition, the run's parts in the
-    partitions folded before k's and, past dq, the whole run up to dq.
+    A block's step t is its rank in its query chunk's fold order (see the
+    module docstring): listed by query chunk and KV chunk, the live blocks
+    take one stable sort on the key query chunk * P + ring step.
     """
-    nq, nkv = (lo.size // c // mesh.device_count for c in (mesh.query_chunk, mesh.kv_chunk))
+    P = mesh.device_count
+    nq, nkv = (lo.size // c // P for c in (mesh.query_chunk, mesh.kv_chunk))
     lo, hi, flo, fhi = _live_ranges(lo, hi, mesh.query_chunk, mesh.kv_chunk)
-    counts, chunks = hi - lo, np.arange(lo.size, dtype=np.int32)  # int32: every index is below 2**22
+    counts, chunks = hi - lo, np.arange(lo.size, dtype=np.int32)  # int32: every index and key is below 2**22
+    start = np.cumsum(counts, dtype=np.int32) - counts  # each query chunk's first block
     i = np.repeat(chunks, counts)
-    k = np.repeat(lo - (np.cumsum(counts, dtype=np.int32) - counts), counts)
+    k = np.repeat(lo - start, counts)
     k += np.arange(k.size, dtype=np.int32)
-    part = k // nkv
-    low_end = np.minimum(hi, (chunks // nq + 1) * nkv)  # the run's end on devices <= dq
-    high = part > i // nq  # only a non-causal run reaches past dq
-    t = low_end[i]
-    t[high] = hi[i[high]]
-    part += 1
-    part *= nkv
-    t -= part
-    np.maximum(t, 0, out=t)
-    t += k
-    part -= nkv
-    t -= np.maximum(part, lo[i], out=part)
-    t[high] += (low_end - lo)[i[high]]
-    # These arrays, like i, k, t and at below, hold one entry per live block, so
+    # These arrays, like key, t and at below, hold one entry per live block, so
     # they are updated in place and freed as soon as they are used.
-    del part, high
+    key = i // nq - k // nkv
+    key %= P  # the ring step, (dq - dk) mod P
+    key += i * P
+    by_step = np.argsort(key, kind="stable")
+    del key
+    k = k.take(by_step)
+    del by_step
+    t = np.arange(k.size, dtype=np.int32)
+    t -= np.repeat(start, counts)
 
     order = np.argsort(-counts, kind="stable")
     row = np.empty_like(chunks)

@@ -203,23 +203,30 @@ class TestMemplan:
         assert doc["total_bytes"] == doc["lookup_table_bytes"] + 2**30
 
     @pytest.mark.parametrize(
-        "flags",
+        ("flags", "message"),
         [
-            ("--extra-term", "lookup_table=5"),
-            ("--extra-term", "a=-5"),
-            ("--budget", "-1"),
-            ("--budget", "0"),
-            ("--extra-term", "a=1", "--extra-term", "a=2"),
-            ("--extra-term", "=5"),  # would be a "" breakdown key
+            (("--extra-term", "lookup_table=5"), "reserved"),
+            (("--extra-term", "a=-5"), "non-negative"),
+            (("--budget", "-1"), "budget_bytes must be positive"),
+            (("--budget", "0"), "budget_bytes must be positive"),
+            (("--extra-term", "a=1", "--extra-term", "a=2"), "more than once"),
+            (("--extra-term", "=5"), "non-blank"),  # would be a "" breakdown key
+            (("--extra-term", " =5"), "non-blank"),
+            (("--extra-term", "a =5"), "no surrounding whitespace"),
+            (("--extra-term", "a=1e3"), "--extra-term bytes must be an integer, got 'a=1e3'"),
         ],
-        ids=["table-name", "negative-term", "negative-budget", "zero-budget", "repeated-term", "empty-name"],
+        ids=[
+            "table-name", "negative-term", "negative-budget", "zero-budget", "repeated-term", "empty-name",
+            "blank-name", "padded-name", "non-integer-bytes",
+        ],
     )
-    def test_report_inputs_that_break_the_total_are_domain_errors(self, capsys, flags):
+    def test_report_inputs_that_break_the_total_are_domain_errors(self, capsys, flags, message):
         error = run_domain_error(
             capsys, "memplan", "--devices", "8", "--seq-len", "524288",
             "--q-chunk", "2048", "--kv-chunk", "4096", *flags,
         )
         assert error["type"] == "ValueError"
+        assert message in error["message"]
 
     def test_search_finds_plan(self, capsys):
         doc = run_json(

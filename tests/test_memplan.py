@@ -102,6 +102,16 @@ class TestMemoryReport:
         with pytest.raises(ValueError, match="non-negative"):
             memory_report(doubled_plan(), extra_terms={"activations": GIB, "a": -5})
 
+    @pytest.mark.parametrize("name", ["", " ", "\t", " a", "a "])
+    def test_rejects_blank_or_padded_term_names(self, name):
+        with pytest.raises(ValueError, match="non-blank with no surrounding whitespace"):
+            memory_report(doubled_plan(), extra_terms={name: 5})
+
+    @pytest.mark.parametrize("nbytes", [1.5, 1e3, True, "5"])
+    def test_rejects_non_integer_terms(self, nbytes):
+        with pytest.raises(ValueError, match="'a' must be an integer byte count"):
+            memory_report(doubled_plan(), extra_terms={"a": nbytes})
+
     def test_rejects_the_table_name_as_a_term(self):
         with pytest.raises(ValueError, match="reserved"):
             memory_report(doubled_plan(), extra_terms={"lookup_table": 5})

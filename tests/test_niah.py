@@ -105,8 +105,8 @@ class TestGenerate:
 
     def test_offset_points_at_needle(self):
         gen = generate_case(make_case(depth_percent=37.0))
-        needle = gen.case.needle_template.format(payload=gen.expected)
-        assert gen.document[gen.needle_char_offset : gen.needle_char_offset + len(needle)] == needle
+        assert gen.needle == gen.case.needle_template.format(payload=gen.expected)
+        assert gen.document[gen.needle_char_offset : gen.needle_char_offset + len(gen.needle)] == gen.needle
 
     def test_too_small_target_rejected(self):
         with pytest.raises(ValueError):
@@ -242,6 +242,7 @@ def reference_generate_case(case: NiahCase, tokenizer=None):
     return niah.GeneratedCase(
         case=case,
         document=document,
+        needle=needle,
         question=case.question,
         expected=case.needle_payload,
         needle_sentence_index=insert_at,

@@ -24,6 +24,7 @@ from longctx.ringsim import (
     AttentionProblem,
     RingMesh,
     RingStep,
+    _fold_schedule,
     _legal_keys,
     _live_ranges,
     _slab_cap,
@@ -134,6 +135,20 @@ class TestProblemValidation:
                 q=np.zeros(shape), k=np.zeros(shape), v=np.zeros(shape),
                 segment_ids=np.zeros(shape[0], dtype=int),
             )
+
+    def test_non_integral_segments_rejected(self):
+        with pytest.raises(ValueError, match="segment_ids must be integers"):
+            AttentionProblem(
+                q=np.zeros((4, 2)), k=np.zeros((4, 2)), v=np.zeros((4, 2)),
+                segment_ids=np.array([0, 0.5, 1.7, 1.9]),
+            )
+
+    def test_integral_float_segments_accepted(self):
+        p = AttentionProblem(
+            q=np.zeros((4, 2)), k=np.zeros((4, 2)), v=np.zeros((4, 2)),
+            segment_ids=np.array([0.0, 0.0, 1.0, 1.0]),
+        )
+        assert p.segment_ids.dtype == np.int64 and p.segment_ids.tolist() == [0, 0, 1, 1]
 
     def test_default_scale(self):
         p = two_segment_problem(4, 16)
@@ -552,11 +567,18 @@ class TestBatchedKernel:
             [segment_ids[i] == segment_ids[j] and (j <= i or not causal) for j in range(S)]
             for i in range(S)
         ])
-        live_per_query_chunk = legal.reshape(S // qc, qc, S // kc, kc).any(axis=(1, 3)).sum(axis=1)
+        live = legal.reshape(S // qc, qc, S // kc, kc).any(axis=(1, 3))
         _, trace = ring_attention(p, mesh)
-        assert trace.fold_steps == live_per_query_chunk.max()
+        assert trace.fold_steps == live.sum(axis=1).max()
         assert trace.fold_steps == classify_blocks(p, qc, kc)[0].sum(axis=1).max()
         assert trace.fold_steps <= trace.blocks_visited
+        # Each query chunk folds its live KV chunks by ring step, (dq - dk) mod P, then by KV chunk.
+        P = mesh.device_count
+        nq, nkv = S // qc // P, S // kc // P
+        _, _, qi, ki, _ = _fold_schedule(*_legal_keys(p), mesh)  # by (fold step, state row)
+        for c in range(S // qc):
+            ring_order = sorted(np.flatnonzero(live[c]), key=lambda k: ((c // nq - k // nkv) % P, k))
+            assert ki[qi == c].tolist() == ring_order
 
     def test_fold_step_cut_across_slabs(self):
         # A slab holds _slab_cap(16, 16, 64) blocks. One causal document over about
