@@ -316,8 +316,8 @@ def _fold_schedule(lo: np.ndarray, hi: np.ndarray, mesh: RingMesh) -> tuple[np.n
     i = np.repeat(chunks, counts)
     k = np.repeat(lo - start, counts)
     k += np.arange(k.size, dtype=np.int32)
-    # These arrays, like key, t and at below, hold one entry per live block, so
-    # they are updated in place and freed as soon as they are used.
+    # i, k, key, t and at hold one entry per live block, so they are updated
+    # in place and freed as soon as they are used.
     key = i // nq - k // nkv
     key %= P  # the ring step, (dq - dk) mod P
     key += i * P
