@@ -83,6 +83,16 @@ DEFAULT_QUESTION = (
 _DIGIT_RUN = re.compile(r"[0-9]+")
 
 
+def _first_digit_run(text: str) -> re.Match | None:
+    """``_DIGIT_RUN.search(text)``, found by one bounded ``str.find`` per ASCII digit."""
+    end = len(text)
+    for digit in "0123456789":
+        hit = text.find(digit, 0, end)
+        if hit >= 0:
+            end = hit
+    return _DIGIT_RUN.match(text, end)
+
+
 def _check_haystack_tokens(tokens: int) -> None:
     if tokens > MAX_HAYSTACK_TOKENS:
         raise ValueError(f"haystack_tokens={tokens} is more than MAX_HAYSTACK_TOKENS={MAX_HAYSTACK_TOKENS}")
@@ -300,10 +310,14 @@ class ClientError(RuntimeError):
 
 
 class EchoStub:
-    """Oracle stub: finds the payload in the prompt and answers it exactly."""
+    """Oracle stub: answers the prompt's first ASCII digit run exactly.
+
+    That run is the payload, because the filler, the default needle
+    template and the question are digit-free.
+    """
 
     def complete(self, prompt: str, max_tokens: int = 64, temperature: float = 0.0) -> str:
-        match = _DIGIT_RUN.search(prompt)
+        match = _first_digit_run(prompt)
         return f"The number is {match.group(0)}." if match else "I could not find it."
 
 
@@ -311,7 +325,7 @@ class DropLastDigitStub:
     """Adversarial stub reproducing last-digit truncation on recall."""
 
     def complete(self, prompt: str, max_tokens: int = 64, temperature: float = 0.0) -> str:
-        match = _DIGIT_RUN.search(prompt)
+        match = _first_digit_run(prompt)
         return f"The number is {match.group(0)[:-1]}." if match else ""
 
 
@@ -335,7 +349,7 @@ class FixtureClient:
         return cls(doc["responses"])
 
     def complete(self, prompt: str, max_tokens: int = 64, temperature: float = 0.0) -> str:
-        match = _DIGIT_RUN.search(prompt)
+        match = _first_digit_run(prompt)
         if match is None or match.group(0) not in self.responses:
             raise ClientError("no recorded response for this prompt")
         return self.responses[match.group(0)]
@@ -574,7 +588,9 @@ def run_grid(
 
 def grid_csv(result: GridResult, metric: str = "exact") -> str:
     """Rates as a CSV matrix: one row per length, one column per depth."""
-    header = "haystack_tokens," + ",".join(f"depth_{d:g}" for d in result.depths)
+    # :g names 0, 50 and 100 plainly; repr keeps distinct depths that :g would round apart.
+    labels = (f"{d:g}" if float(f"{d:g}") == d else repr(d) for d in result.depths)
+    header = "haystack_tokens," + ",".join(f"depth_{label}" for label in labels)
     by_key = {(c.haystack_tokens, c.depth_percent): c for c in result.cells}
     lines = [header]
     for length in result.lengths:

@@ -361,6 +361,21 @@ class TestNiah:
         assert lines[0] == "haystack_tokens,depth_0,depth_100"
         assert lines[1] == "600,1.000000,1.000000"
 
+    @pytest.mark.parametrize(
+        "depths, header",
+        [
+            ("50,50.0000001", "haystack_tokens,depth_50,depth_50.0000001"),
+            ("0.1,0.1000001", "haystack_tokens,depth_0.1,depth_0.1000001"),
+        ],
+    )
+    def test_grid_csv_names_distinct_depths_apart(self, capsys, depths, header):
+        # :g rounds to six significant digits, which would give both columns one name.
+        out = run_cli(
+            capsys, "niah-grid", "--lengths", "600", "--depths", depths,
+            "--stub", "echo", "--format", "csv",
+        ).out
+        assert out.splitlines()[0] == header
+
     def test_unknown_api_shape_key_is_domain_error(self, capsys, tmp_path):
         # The shape file is read before a client exists, so nothing is sent.
         shape = tmp_path / "shape.json"

@@ -324,6 +324,24 @@ class TestScore:
 
 
 class TestStubs:
+    @given(st.text(alphabet=st.sampled_from([*"0123456789", "٣", "５", "²", *"abXYZ", " "])))
+    def test_first_digit_run_is_the_regex_search(self, text):
+        found, want = niah._first_digit_run(text), niah._DIGIT_RUN.search(text)
+        if want is None:
+            assert found is None
+        else:
+            assert (found.span(), found.group(0)) == (want.span(), want.group(0))
+
+    @pytest.mark.parametrize("depth", [0.0, 50.0, 100.0])
+    def test_each_client_finds_the_payload(self, depth):
+        gen = generate_case(make_case(depth_percent=depth))
+        prompt = build_prompt(gen)
+        found = niah._first_digit_run(prompt)
+        assert (found.start(), found.group(0)) == (gen.needle_char_offset + gen.needle.index(gen.expected), gen.expected)
+        assert score(gen.expected, EchoStub().complete(prompt)).verdict is Verdict.EXACT
+        assert score(gen.expected, DropLastDigitStub().complete(prompt)).verdict is Verdict.TRUNCATED
+        assert FixtureClient({gen.expected: "recorded"}).complete(prompt) == "recorded"
+
     def test_echo_stub_finds_needle(self):
         gen = generate_case(make_case())
         answer = EchoStub().complete(build_prompt(gen))
@@ -360,6 +378,13 @@ class TestGrid:
         result = run_grid([600], [0, 100], 2, DropLastDigitStub(), base_seed=7)
         for cell in result.cells:
             assert cell.rate("truncated") == 1.0
+
+    def test_grids_at_the_papers_length(self):
+        # 512K tokens, needle first and last: the clients scan the whole prompt.
+        echo = run_grid([524_288], [0, 100], 1, EchoStub())
+        assert all(cell.rate("exact") == 1.0 for cell in echo.cells)
+        drop = run_grid([524_288], [0, 100], 1, DropLastDigitStub())
+        assert all(cell.rate("truncated") == 1.0 for cell in drop.cells)
 
     def test_silent_grid_is_all_empty(self):
         result = run_grid([600], [50], 2, SilentStub(), base_seed=7)
