@@ -337,7 +337,8 @@ class TestStubs:
         gen = generate_case(make_case(depth_percent=depth))
         prompt = build_prompt(gen)
         found = niah._first_digit_run(prompt)
-        assert (found.start(), found.group(0)) == (gen.needle_char_offset + gen.needle.index(gen.expected), gen.expected)
+        start = gen.needle_char_offset + gen.needle.index(gen.expected)
+        assert (found.start(), found.group(0)) == (start, gen.expected)
         assert score(gen.expected, EchoStub().complete(prompt)).verdict is Verdict.EXACT
         assert score(gen.expected, DropLastDigitStub().complete(prompt)).verdict is Verdict.TRUNCATED
         assert FixtureClient({gen.expected: "recorded"}).complete(prompt) == "recorded"
