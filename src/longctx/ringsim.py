@@ -6,7 +6,7 @@ with per-token segment ids (documents are contiguous spans), attention is
 causal and never crosses a segment boundary, and two routes compute the
 same output:
 
-  exact_attention       row-blocked oracle: each block of 256 query rows
+  exact_attention       row-blocked oracle: each strip of query rows
                         takes only its legal key span and a full,
                         non-streaming softmax per row
   ring_attention        P simulated devices; queries stay put, KV partitions
@@ -32,16 +32,19 @@ chunk misses the query chunk's span, *full* when it lies in the core and
 *partial* otherwise, so each query chunk's live blocks, and its full
 ones, are one contiguous run of KV chunks. Empty blocks are skipped, full
 blocks skip the mask and a partial block masks each row's keys outside
-[lo_i, hi_i]. The oracle takes the span of each block of 256 query rows
-and masks only its edges outside the core. Skipping is exact, not an
+[lo_i, hi_i]. The oracle takes the span of each block of query rows and
+masks only its edges outside the core. Skipping is exact, not an
 approximation: an empty block's scores are all -inf, so it leaves every
 row's max unchanged (alpha = 1, or the state is still zero) and adds
 exp(-inf) = 0 to the sums; a full block's mask selects every score; and
 every key outside a span would get weight exactly 0.0, so the oracle's
 span changes which zeros are summed, not the result. Outputs are bitwise
 those of visiting every block. exact_attention never holds an S x S
-array, only one strip of at most 256 x S, which every pass updates in
-place; attention_weights returns the full matrix.
+array, only one scratch strip per call, reused by every row block and
+updated in place by every pass. A strip has as many rows as _SLAB_BYTES
+holds at width S, from 64 to 256 (256 up to S = 512, 64 from S = 2048),
+so it takes at most max(_SLAB_BYTES, 64 x S x 8) bytes, the ring's own
+temporaries budget; attention_weights returns the full matrix.
 
 ring_attention folds each query chunk's live blocks in the ring's order:
 query device dq gets KV partition dk at ring step (dq - dk) mod P, so a
@@ -60,7 +63,8 @@ order, and each block gets the same gemms, the same sums along its rows
 and the same elementwise steps as a lone block.
 
 Memory is bounded before anything is allocated: random_problem refuses a
-problem whose Q/K/V plus one oracle strip would pass MAX_WORKING_SET_BYTES,
+problem whose Q/K/V plus a 256 x S oracle strip, the widest a strip can
+be, would pass MAX_WORKING_SET_BYTES,
 and RingMesh.validate_for a mesh with more than MAX_CLASSIFIED_BLOCKS
 (query chunk x KV chunk) blocks, which bounds the live blocks the ring's
 schedule lists.
@@ -89,12 +93,14 @@ __all__ = [
     "MAX_CLASSIFIED_BLOCKS",
 ]
 
-_ORACLE_ROWS = 256  # query rows per oracle block
+_ORACLE_ROWS = 256  # most query rows per oracle strip
+_ORACLE_MIN_ROWS = 64  # fewest: QK^T re-reads the span's keys once per strip
 _SLAB_BYTES = 1 << 20  # bytes of one ring slab's temporaries, in blocks of at least one
 # Size bounds, checked before anything sized by S is allocated. The oracle
 # holds one strip and its edge masks at once and the ring schedule a few
 # int32s per live block, so a run near either bound needs a few hundred MiB.
-# Q/K/V plus one (_ORACLE_ROWS x S) oracle strip, in float64 bytes:
+# Q/K/V plus an (_ORACLE_ROWS x S) oracle strip, in float64 bytes. The strip
+# term is an upper bound: a strip never has more than _ORACLE_ROWS rows.
 MAX_WORKING_SET_BYTES = 1 << 28
 # (query chunk x KV chunk) blocks of one mesh, S / query_chunk * S / kv_chunk:
 MAX_CLASSIFIED_BLOCKS = 1 << 22
@@ -223,18 +229,28 @@ def _legal_keys(p: AttentionProblem) -> tuple[np.ndarray, np.ndarray]:
     return lo.astype(np.int32), hi.astype(np.int32)
 
 
+def _oracle_rows(seq_len: int) -> int:
+    """Query rows per oracle strip: as many as _SLAB_BYTES hold at width S, within [64, 256]."""
+    return min(_ORACLE_ROWS, max(_ORACLE_MIN_ROWS, _SLAB_BYTES // (8 * seq_len)))
+
+
 def _oracle_blocks(p: AttentionProblem):
-    """Softmax weights of each _ORACLE_ROWS-row query block over its legal key span.
+    """Softmax weights of each _oracle_rows(S)-row query block over its legal key span.
 
     Yields (rows, cols, weights), weights of shape (len(rows), len(cols)).
     See the module docstring for the span. Each row is a full softmax over
-    its span, masked-out pairs exactly 0.0, computed in place in one strip.
+    its span, masked-out pairs exactly 0.0, computed in place in one
+    scratch buffer allocated per call: weights is a contiguous view of its
+    head, overwritten by the next block, so copy it to keep it.
     """
     lo, hi = _legal_keys(p)
-    for start in range(0, p.seq_len, _ORACLE_ROWS):
-        stop = min(start + _ORACLE_ROWS, p.seq_len)
-        first, end = lo[start], hi[stop - 1] + 1
-        w = p.q[start:stop] @ p.k[first:end].T
+    rows = min(_oracle_rows(p.seq_len), p.seq_len)
+    scratch = np.empty(rows * p.seq_len)
+    for start in range(0, p.seq_len, rows):
+        stop = min(start + rows, p.seq_len)
+        first, end = int(lo[start]), int(hi[stop - 1]) + 1
+        w = scratch[: (stop - start) * (end - first)].reshape(stop - start, end - first)
+        np.matmul(p.q[start:stop], p.k[first:end].T, out=w)
         w *= p.scale
         # Keys in the core, lo[stop - 1] to hi[start], are legal for every row.
         below = np.arange(first, lo[stop - 1], dtype=np.int32)
@@ -270,15 +286,17 @@ def exact_attention(p: AttentionProblem, weights_csv: TextIO | None = None) -> n
 
     With weights_csv, an open text file, the same walk also writes
     attention_weights(p) to it in np.savetxt's format, comma-delimited,
-    one row block at a time.
+    one row block at a time, through one dense row buffer per call.
     """
     out = np.empty_like(p.v)
+    dense = None if weights_csv is None else np.zeros((min(_oracle_rows(p.seq_len), p.seq_len), p.seq_len))
     for rows, cols, w in _oracle_blocks(p):
         out[rows] = w @ p.v[cols]
-        if weights_csv is not None:
-            strip = np.zeros((w.shape[0], p.seq_len))
+        if dense is not None:
+            strip = dense[: w.shape[0]]
             strip[:, cols] = w
             np.savetxt(weights_csv, strip, delimiter=",")
+            strip[:, cols] = 0.0
     return out
 
 
@@ -491,8 +509,8 @@ def random_problem(
 ) -> AttentionProblem:
     """Random packed-sequence problem with contiguous random-length segments.
 
-    Raises ValueError before allocating when Q/K/V plus one oracle strip
-    would take more than MAX_WORKING_SET_BYTES.
+    Raises ValueError before allocating when Q/K/V plus the widest oracle
+    strip, _ORACLE_ROWS x S, would take more than MAX_WORKING_SET_BYTES.
     """
     for name, n in (("seq_len", seq_len), ("head_dim", head_dim), ("num_segments", num_segments)):
         if n is not None and n < 1:

@@ -140,8 +140,8 @@ class TestRingsim:
         assert (error["type"], error["message"]) == ("ValueError", "head_dim must be >= 1, got -4")
 
     def test_dump_weights_bytes_match_dense_savetxt(self, capsys, tmp_path):
-        # 520 tokens span three 256-row oracle blocks; the middle document
-        # straddles both block edges.
+        # 520 tokens span three oracle strips of 252, 252 and 16 rows; the
+        # middle document straddles both strip edges.
         dump = tmp_path / "weights.csv"
         run_json(
             capsys,

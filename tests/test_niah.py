@@ -535,13 +535,15 @@ class _Endpoint(BaseHTTPRequestHandler):
 @pytest.fixture()
 def endpoint():
     server = HTTPServer(("127.0.0.1", 0), _Endpoint)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # serve_forever's default 0.5 s poll would make each shutdown wait up to that long.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}/"
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()
 
 
 class TestHttpClient:

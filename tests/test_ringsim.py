@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from longctx import ringsim
 from longctx.ringsim import (
-    _ORACLE_ROWS,
     MAX_CLASSIFIED_BLOCKS,
     MAX_WORKING_SET_BYTES,
     AttentionProblem,
@@ -73,11 +72,20 @@ def classify_blocks(p: AttentionProblem, query_chunk: int, kv_chunk: int):
     return (lo <= k) & (k < hi), (flo <= k) & (k < fhi)
 
 
-def per_pass_oracle_blocks(p: AttentionProblem):
-    """The row-blocked oracle with a fresh strip per pass and the pairwise mask: (rows, cols, weights)."""
+def oracle_rows(seq_len: int) -> int:
+    """Rows per oracle strip: ringsim._SLAB_BYTES of float64s at width S, clamped to [64, 256]."""
+    return min(256, max(64, ringsim._SLAB_BYTES // (8 * seq_len)))
+
+
+def per_pass_oracle_blocks(p: AttentionProblem, block_rows: int | None = None):
+    """The row-blocked oracle with a fresh strip per pass and the pairwise mask: (rows, cols, weights).
+
+    Row blocks have block_rows rows, oracle_rows(S) by default.
+    """
     seg = p.segment_ids
-    for start in range(0, p.seq_len, _ORACLE_ROWS):
-        rows = slice(start, min(start + _ORACLE_ROWS, p.seq_len))
+    block_rows = oracle_rows(p.seq_len) if block_rows is None else block_rows
+    for start in range(0, p.seq_len, block_rows):
+        rows = slice(start, min(start + block_rows, p.seq_len))
         first = int(np.searchsorted(seg, seg[start], side="left"))
         stop = rows.stop if p.causal else int(np.searchsorted(seg, seg[rows.stop - 1], side="right"))
         cols = slice(first, stop)
@@ -204,10 +212,10 @@ def dense_reference(p: AttentionProblem):
 
 
 @st.composite
-def multi_block_problems(draw):
-    """S past one 256-row oracle block, documents cut anywhere, either causal flag."""
-    S = draw(st.integers(257, 700))
-    cuts = sorted(draw(st.sets(st.integers(1, S - 1), max_size=5)))
+def multi_block_problems(draw, min_len=257, max_len=700):
+    """S in [min_len, max_len] (by default past one 256-row oracle block), documents cut anywhere, either causal."""
+    S = draw(st.integers(min_len, max_len))
+    cuts = sorted(draw(st.sets(st.integers(1, S - 1), max_size=5))) if S > 1 else []
     lengths = np.diff([0, *cuts, S])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 8))
@@ -241,7 +249,30 @@ class TestRowBlockedOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20  # 19.8 MiB measured
+        assert peak < 32 * 2**20  # 6.1 MiB measured
+
+    def test_scratch_fits_the_slab_budget(self):
+        # One 4096-token document: a 64-row strip (2 MiB) reused per row block,
+        # beside the 4 MiB output, not two fresh 256-row strips (8 MiB each).
+        rng = np.random.default_rng(0)
+        S, d = 4096, 128
+        p = AttentionProblem(
+            q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)),
+            v=rng.standard_normal((S, d)), segment_ids=np.zeros(S, dtype=np.int64),
+        )
+        tracemalloc.start()
+        try:
+            exact_attention(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20  # 6.1 MiB measured
+
+    @pytest.mark.parametrize(
+        "seq_len, rows", [(1, 256), (512, 256), (520, 252), (1024, 128), (2048, 64), (2**17, 64)]
+    )
+    def test_strip_rows_follow_the_slab_budget(self, seq_len, rows):
+        assert ringsim._oracle_rows(seq_len) == oracle_rows(seq_len) == rows
 
 
 class TestMaskSoundness:
@@ -526,15 +557,33 @@ def packed_ring_problems(draw):
     return p, RingMesh(P, qc, kc)
 
 
+def assert_bit_identical_to_per_pass_oracle(p: AttentionProblem, block_rows: int | None = None):
+    weights, out = np.zeros((p.seq_len, p.seq_len)), np.empty_like(p.v)
+    for rows, cols, w in per_pass_oracle_blocks(p, block_rows):
+        weights[rows, cols], out[rows] = w, w @ p.v[cols]
+    assert np.array_equal(attention_weights(p), weights)
+    assert np.array_equal(exact_attention(p), out)
+
+
 class TestInPlaceOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(multi_block_problems(), packed_ring_problems().map(lambda case: case[0])))
     def test_bit_identical_to_per_pass_oracle(self, p):
-        weights, out = np.zeros((p.seq_len, p.seq_len)), np.empty_like(p.v)
-        for rows, cols, w in per_pass_oracle_blocks(p):
-            weights[rows, cols], out[rows] = w, w @ p.v[cols]
-        assert np.array_equal(attention_weights(p), weights)
-        assert np.array_equal(exact_attention(p), out)
+        assert_bit_identical_to_per_pass_oracle(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(multi_block_problems(1, 512), packed_ring_problems().map(lambda case: case[0])))
+    def test_small_problems_keep_256_row_blocks(self, p):
+        assert_bit_identical_to_per_pass_oracle(p, block_rows=256)
+
+    @settings(max_examples=40, deadline=None)
+    @given(multi_block_problems(), st.integers(1, 8 * 256 * 700))
+    def test_many_strips_under_a_smaller_budget(self, p, budget):
+        # Budgets below 64 rows' worth take the 64-row floor; the rest cut S = 257-700 into 64 to 256 rows.
+        with mock.patch.object(ringsim, "_SLAB_BYTES", budget):
+            starts = [rows.start for rows, _, _ in ringsim._oracle_blocks(p)]
+            assert starts == list(range(0, p.seq_len, oracle_rows(p.seq_len)))
+            assert_bit_identical_to_per_pass_oracle(p)
 
 
 class TestBatchedKernel:
