@@ -30,6 +30,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -522,6 +523,7 @@ def run_grid(
             raise ValueError(f"{name} must not repeat a value, got {list(values)}")
 
     def run_one(task):
+        """(cell index, tally kind, detail record) of one trial."""
         li, di, trial = task
         rng = np.random.default_rng([base_seed, li, di, trial])
         case = NiahCase(
@@ -531,55 +533,38 @@ def run_grid(
             seed=int(rng.integers(0, 2**31)),
         )
         gen = generate_case(case, tokenizer)
-        try:
-            answer = _call_with_retries(
-                client, build_prompt(gen), max_tokens, attempts, backoff
-            )
-        except ClientError as exc:
-            return (li, di, trial, case, None, str(exc))
-        return (li, di, trial, case, score(gen.expected, answer, case), None)
-
-    # Both maps yield outcomes in task order, which is (li, di, trial) order.
-    # A generator: itertools.product would first make range(trials) a tuple.
-    tasks = ((li, di, t) for li in range(len(lengths)) for di in range(len(depths)) for t in range(trials))
-    if max_concurrency > 1:
-        with ThreadPoolExecutor(max_workers=max_concurrency) as pool:
-            outcomes = list(_windowed_map(pool, run_one, tasks, 2 * max_concurrency))
-    else:
-        outcomes = map(run_one, tasks)
-
-    tallies: dict[tuple[int, int], dict[str, int]] = {
-        (li, di): dict.fromkeys(TALLY_KINDS, 0)
-        for li in range(len(lengths))
-        for di in range(len(depths))
-    }
-    details = []
-    for li, di, trial, case, result, error in outcomes:
+        cell = li * len(depths) + di
         record = {
             "haystack_tokens": lengths[li],
             "depth_percent": depths[di],
             "trial": trial,
             "expected": case.needle_payload,
         }
-        if error is not None:
-            tallies[(li, di)]["error"] += 1
-            record["error"] = error
-        else:
-            tallies[(li, di)][result.verdict.value] += 1
-            record["verdict"] = result.verdict.value
-            record["matched_prefix_len"] = result.matched_prefix_len
-            record["answer"] = result.answer
-        details.append(record)
+        try:
+            answer = _call_with_retries(
+                client, build_prompt(gen), max_tokens, attempts, backoff
+            )
+        except ClientError as exc:
+            return cell, "error", {**record, "error": str(exc)}
+        result = score(gen.expected, answer, case)
+        kind = result.verdict.value
+        record.update(verdict=kind, matched_prefix_len=result.matched_prefix_len, answer=result.answer)
+        return cell, kind, record
+
+    # Both maps yield outcomes in task order, which is (li, di, trial) order.
+    # A generator: itertools.product would first make range(trials) a tuple.
+    tasks = ((li, di, t) for li in range(len(lengths)) for di in range(len(depths)) for t in range(trials))
+    tallies = [dict.fromkeys(TALLY_KINDS, 0) for _ in range(len(lengths) * len(depths))]
+    details = []
+    with ThreadPoolExecutor(max_workers=max_concurrency) if max_concurrency > 1 else nullcontext() as pool:
+        outcomes = map(run_one, tasks) if pool is None else _windowed_map(pool, run_one, tasks, 2 * max_concurrency)
+        for cell, kind, record in outcomes:
+            tallies[cell][kind] += 1
+            details.append(record)
 
     cells = tuple(
-        CellRates(
-            haystack_tokens=lengths[li],
-            depth_percent=depths[di],
-            trials=trials,
-            counts=tallies[(li, di)],
-        )
-        for li in range(len(lengths))
-        for di in range(len(depths))
+        CellRates(haystack_tokens=length, depth_percent=depth, trials=trials, counts=counts)
+        for (length, depth), counts in zip(((x, y) for x in lengths for y in depths), tallies)
     )
     return GridResult(
         lengths=lengths, depths=depths, trials=trials, cells=cells, details=tuple(details)

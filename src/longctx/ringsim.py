@@ -64,10 +64,11 @@ and the same elementwise steps as a lone block.
 
 Memory is bounded before anything is allocated: random_problem refuses a
 problem whose Q/K/V plus a 256 x S oracle strip, the widest a strip can
-be, would pass MAX_WORKING_SET_BYTES,
-and RingMesh.validate_for a mesh with more than MAX_CLASSIFIED_BLOCKS
-(query chunk x KV chunk) blocks, which bounds the live blocks the ring's
-schedule lists.
+be, would pass MAX_WORKING_SET_BYTES, and RingMesh.validate_for a mesh
+with more than MAX_CLASSIFIED_BLOCKS (query chunk x KV chunk) blocks,
+which bounds the live blocks the ring's schedule lists. The mesh's layout
+(positive sizes, P divides S, each chunk size divides S/P) is checked by
+memplan.ChunkPlan, the one place that rule is written.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
+
+from . import memplan
 
 __all__ = [
     "AttentionProblem",
@@ -165,15 +168,7 @@ class RingMesh:
     def validate_for(self, seq_len: int) -> None:
         if seq_len < 1:
             raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-        if self.device_count < 1 or self.query_chunk < 1 or self.kv_chunk < 1:
-            raise ValueError("device_count and chunk sizes must be positive")
-        if seq_len % self.device_count != 0:
-            raise ValueError(f"device_count {self.device_count} must divide S={seq_len}")
-        per_device = seq_len // self.device_count
-        if per_device % self.query_chunk != 0:
-            raise ValueError(f"query_chunk {self.query_chunk} must divide S/P={per_device}")
-        if per_device % self.kv_chunk != 0:
-            raise ValueError(f"kv_chunk {self.kv_chunk} must divide S/P={per_device}")
+        memplan.ChunkPlan(self.device_count, seq_len, self.query_chunk, self.kv_chunk)  # the layout rule
         blocks = (seq_len // self.query_chunk) * (seq_len // self.kv_chunk)
         if blocks > MAX_CLASSIFIED_BLOCKS:
             raise ValueError(
@@ -198,7 +193,8 @@ class RingTrace:
     and blocks_skipped the empty ones; visited + skipped is P^2 * nq * nkv.
     kernel_calls counts the slabs, the batched calls that scored them, and
     fold_steps the sequential steps of the online-softmax recurrences: the
-    most live blocks of any query chunk.
+    most live blocks of any query chunk. The mesh it traces has passed
+    memplan.ChunkPlan's layout check, so every count is over whole chunks.
     """
 
     device_count: int
@@ -422,8 +418,6 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
 
     q, key, v = p.q.reshape(n_q, qc, d), p.k.reshape(n_kv, kc, d), p.v.reshape(n_kv, kc, d)
     m, state = np.full((n_q, qc), -np.inf), np.zeros((n_q, qc, d + 1))  # state: acc | l
-    # Allocated before the fold: allocated after it, ring_long's peak RSS was about 4 MiB higher.
-    out = np.empty((n_q, qc, d))
     first, slabs = 0, 0
     for c0, ns in _slabs(widths.tolist(), _slab_cap(qc, kc, d)):
         # Batched: scores, mask, running max, shift, alpha, exp, row sums and P.V of every block.
@@ -475,7 +469,7 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
             b += n
 
     np.divide(state[..., :d], state[..., d:], out=state[..., :d])
-    np.take(state[..., :d], row, axis=0, out=out)
+    out = state[row, :, :d]
     trace = RingTrace(
         device_count=P,
         transfers=P * (P - 1),

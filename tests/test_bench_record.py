@@ -59,3 +59,29 @@ def test_one_seed_never_meets_the_gain_rule():
     metric = {"name": "m", "better": "higher", "bound": 0.25}
     (line,) = load_tool().pairwise_summary(entries, [metric])
     assert line.endswith("change better in 1 of 1 seeds")
+
+
+@pytest.mark.parametrize("seeds, order", [
+    ([7], [("parent", 7), ("change", 7), ("change", 7), ("parent", 7)]),  # one seed: each side first once
+    ([1, 2], [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]),  # the per-seed alternation
+])  # fmt: skip
+def test_side_order_is_balanced(tmp_path, monkeypatch, seeds, order):
+    tool = load_tool()
+    calls = []
+
+    def run_perfbench(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, seed))
+        return {"metrics": {"ops_per_s": {"value": float(len(calls)), "unit": "1/s"}}}
+
+    monkeypatch.setattr(tool, "run_perfbench", run_perfbench)
+    monkeypatch.setattr(tool, "_git", lambda checkout, *argv: "")
+    sides = {}
+    for label in ("parent", "change"):
+        (tmp_path / label).mkdir()
+        (tmp_path / label / "BENCHMARK.json").write_text('{"run_seconds": 1, "workloads": [{"name": "w"}]}')
+        sides[label] = tmp_path / label
+    entries = tool.record(sides, seeds, None, False)
+    assert calls == order
+    by_side = {e["side"]: e for e in entries}
+    assert by_side["parent"]["values"] == [float(i + 1) for i, call in enumerate(calls) if call[0] == "parent"]
+    assert by_side["parent"]["seeds"] == by_side["change"]["seeds"] == [seed for _, seed in order[::2]]

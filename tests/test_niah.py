@@ -426,6 +426,7 @@ class TestGrid:
         a = run_grid([600], [0, 100], 2, EchoStub(), base_seed=3, max_concurrency=1)
         b = run_grid([600], [0, 100], 2, EchoStub(), base_seed=3, max_concurrency=4)
         assert a.details == b.details
+        assert a.cells == b.cells
 
     def test_pool_submits_a_bounded_window_ahead(self, monkeypatch):
         # Each submitted task draws its payload first, so the draws count the tasks

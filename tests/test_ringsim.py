@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from longctx import ringsim
+from longctx.memplan import ChunkPlan
 from longctx.ringsim import (
     MAX_CLASSIFIED_BLOCKS,
     MAX_WORKING_SET_BYTES,
@@ -373,13 +374,44 @@ class TestRing:
             assert s.kv_origin == (s.device - s.step) % P
 
     def test_invalid_mesh_rejected(self):
+        # The messages are memplan.ChunkPlan's: the mesh's layout rule is written there only.
         p = two_segment_problem(32, 4)
-        with pytest.raises(ValueError):
-            ring_attention(p, RingMesh(3, 4, 4))  # 3 does not divide 32
-        with pytest.raises(ValueError):
-            ring_attention(p, RingMesh(4, 3, 4))  # 3 does not divide 8
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="devices 3 must divide seq_len 32"):
+            ring_attention(p, RingMesh(3, 4, 4))
+        with pytest.raises(ValueError, match="q_chunk 3 must divide per-device length 8"):
+            ring_attention(p, RingMesh(4, 3, 4))
+        with pytest.raises(ValueError, match="devices must be positive, got 0"):
             ring_attention(p, RingMesh(0, 1, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2048), st.integers(-2, 64), st.integers(-2, 64), st.integers(-2, 64))
+    def test_mesh_check_is_the_chunk_plan_check(self, S, P, qc, kc):
+        # At S <= 2048 a mesh has at most 2**22 blocks, so only the layout rule can refuse it.
+        def raises(check) -> bool:
+            try:
+                check()
+            except ValueError:
+                return True
+            return False
+
+        assert raises(lambda: RingMesh(P, qc, kc).validate_for(S)) == raises(lambda: ChunkPlan(P, S, qc, kc))
+
+    def test_output_gather_peak(self):
+        # One 4096-token document at d = 128: one gather of the output, where
+        # np.take(..., out=) buffered a second S x d copy (16.8 MiB measured then).
+        rng = np.random.default_rng(0)
+        S, d = 4096, 128
+        p = AttentionProblem(
+            q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)),
+            v=rng.standard_normal((S, d)), segment_ids=np.zeros(S, dtype=np.int64),
+        )
+        tracemalloc.start()
+        try:
+            ring_attention(p, RingMesh(8, 128, 512))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20  # 8.8 MiB measured
 
 
 @st.composite

@@ -12,19 +12,21 @@ those named by ``--workload``) and per seed, for the ``run_seconds`` that
 file sets; all sides must set the same. ``--trace`` adds a ``--trace 1``
 run after each of those and records its per-layer metrics too. For each
 (workload, seed) the sides take turns going first, so a slow stretch of the
-host does not land on one side only. Any side whose run fails or reports
-wrong outputs stops the recording with exit 1 and writes nothing.
+host does not land on one side only. Given a single seed, each workload
+runs it once with each side first, and every run is recorded. Any side
+whose run fails or reports wrong outputs stops the recording with exit 1
+and writes nothing.
 
 The output holds one entry per (side, workload, metric): workload, metric,
 unit, median, IQR (third minus first quartile, inclusive method), run
-count, seeds, the per-seed values, the checkout's git SHA (and whether its
-tracked files differ from it), ``nproc`` and the run length. The output
-file is written fresh from the sides of one call.
+count, the seed and the value of each run, the checkout's git SHA (and
+whether its tracked files differ from it), ``nproc`` and the run length.
+The output file is written fresh from the sides of one call.
 
 With two or more sides, stderr then gets one line per workload,
 end-to-end metric and later side: the first side's median and IQR, the
-later side's median, their ratio, and in how many seeds the later side did
-better, in the direction ``BENCHMARK.json`` calls better (a tie is not a
+later side's median, their ratio, and in how many seeds (runs, for a
+single seed) the later side did better, in the direction ``BENCHMARK.json`` calls better (a tie is not a
 win). The line ends in ``regressed`` when the later median is worse than
 the first by more than the metric's ``bound`` (a fraction of the first
 median), and in ``gain rule met`` when, over at least ten seeds, the
@@ -81,10 +83,12 @@ def record(sides: dict[str, Path], seeds: list[int], only: list[str] | None, tra
         raise RuntimeError(f"no side lists workload {sorted(unknown)}")
     runs: dict[tuple[str, str], list[dict]] = {}
     labels = list(sides)
+    # One seed alone would always put the same side first, so it gets one round per side.
+    rounds = seeds * len(labels) if len(seeds) == 1 else seeds
     for workload in dict.fromkeys(w for names in workloads.values() for w in names):
         if only and workload not in only:
             continue
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(rounds):
             shift = i % len(labels)
             for label in labels[shift:] + labels[:shift]:
                 if workload not in workloads[label]:
@@ -108,7 +112,7 @@ def record(sides: dict[str, Path], seeds: list[int], only: list[str] | None, tra
             entries.append({
                 "side": label, "workload": workload, "metric": metric,
                 "unit": first["unit"], "median": median, "iqr": q3 - q1,
-                "runs": len(values), "seeds": seeds, "values": values,
+                "runs": len(values), "seeds": rounds, "values": values,
                 "git_sha": sha, "dirty": dirty, "nproc": os.cpu_count(), "seconds": seconds,
             })  # fmt: skip
     return entries
