@@ -84,4 +84,4 @@ def test_side_order_is_balanced(tmp_path, monkeypatch, seeds, order):
     assert calls == order
     by_side = {e["side"]: e for e in entries}
     assert by_side["parent"]["values"] == [float(i + 1) for i, call in enumerate(calls) if call[0] == "parent"]
-    assert by_side["parent"]["seeds"] == by_side["change"]["seeds"] == [seed for _, seed in order[::2]]
+    assert by_side["parent"]["seeds"] == by_side["change"]["seeds"] == [seed for label, seed in order if label == "parent"]

@@ -397,8 +397,7 @@ class TestRing:
         assert raises(lambda: RingMesh(P, qc, kc).validate_for(S)) == raises(lambda: ChunkPlan(P, S, qc, kc))
 
     def test_output_gather_peak(self):
-        # One 4096-token document at d = 128: one gather of the output, where
-        # np.take(..., out=) buffered a second S x d copy (16.8 MiB measured then).
+        # One 4096-token document at d = 128: the state and one gathered output, 4 MiB each.
         rng = np.random.default_rng(0)
         S, d = 4096, 128
         p = AttentionProblem(
