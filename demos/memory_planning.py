@@ -13,7 +13,6 @@ from longctx.memplan import (
     SearchConstraints,
     format_gib,
     lookup_table_bytes,
-    scenario_report,
     search_chunk_plan,
 )
 
@@ -29,10 +28,11 @@ for plan, label in ((small, "1024/2048 chunks"), (large, "2048/4096 chunks")):
         f"-> table {nbytes:,d} bytes ({format_gib(nbytes)})"
     )
 
-report = scenario_report(small, large)
-print(f"  doubling both chunk sizes saves {format_gib(report.delta_bytes)} "
-      f"({report.ratio:.0f}x smaller table)")
-print(f"  note: {report.note}")
+before, after = lookup_table_bytes(small), lookup_table_bytes(large)
+print(f"  doubling both chunk sizes saves {format_gib(before - after)} "
+      f"({before / after:.0f}x smaller table)")
+print("  note: lookup-table term only; a full-graph peak memory delta includes "
+      "activation and buffer terms outside this model")
 
 print()
 print("=== Table size across chunk choices (8 devices, 512K tokens) ===")

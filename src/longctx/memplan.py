@@ -30,11 +30,9 @@ __all__ = [
     "ChunkPlan",
     "MemoryReport",
     "SearchConstraints",
-    "ScenarioReport",
     "lookup_table_bytes",
     "memory_report",
     "search_chunk_plan",
-    "scenario_report",
     "format_gib",
 ]
 
@@ -94,7 +92,6 @@ class MemoryReport:
     breakdown lists every term, the table first, and sums to total_bytes.
     """
 
-    plan: ChunkPlan
     lookup_table_bytes: int
     extra_terms: dict[str, int] = field(default_factory=dict)
     budget_bytes: int | None = None
@@ -139,7 +136,6 @@ def memory_report(
     if negative:
         raise ValueError(f"extra terms must be non-negative byte counts, got negative {negative}")
     return MemoryReport(
-        plan=plan,
         lookup_table_bytes=lookup_table_bytes(plan),
         extra_terms=extra_terms,
         budget_bytes=budget_bytes,
@@ -209,35 +205,3 @@ def search_chunk_plan(
             return plan(cq, kv_sizes[first_fit])
     return None
 
-
-@dataclass(frozen=True)
-class ScenarioReport:
-    """Lookup-table delta between two plans sharing a device mesh and S."""
-
-    plan_a: ChunkPlan
-    plan_b: ChunkPlan
-    bytes_a: int
-    bytes_b: int
-    delta_bytes: int
-    ratio: float
-    note: str
-
-
-def scenario_report(plan_a: ChunkPlan, plan_b: ChunkPlan) -> ScenarioReport:
-    """Compare two chunk plans on the lookup-table term alone."""
-    if plan_a.devices != plan_b.devices or plan_a.seq_len != plan_b.seq_len:
-        raise ValueError("plans must share devices and seq_len to be comparable")
-    a = lookup_table_bytes(plan_a)
-    b = lookup_table_bytes(plan_b)
-    return ScenarioReport(
-        plan_a=plan_a,
-        plan_b=plan_b,
-        bytes_a=a,
-        bytes_b=b,
-        delta_bytes=a - b,
-        ratio=a / b,
-        note=(
-            "lookup-table term only; a full-graph peak memory delta includes "
-            "activation and buffer terms outside this model"
-        ),
-    )

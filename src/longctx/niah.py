@@ -147,9 +147,6 @@ class GeneratedCase:
 class NiahResult:
     verdict: Verdict
     matched_prefix_len: int
-    expected: str
-    answer: str
-    case: NiahCase | None = None
 
 
 def estimate_tokens(text: str, tokenizer=None) -> float:
@@ -272,7 +269,7 @@ def build_prompt(gen: GeneratedCase) -> str:
     return f"{gen.document}\n\n{gen.question}"
 
 
-def score(expected: str, answer: str, case: NiahCase | None = None) -> NiahResult:
+def score(expected: str, answer: str) -> NiahResult:
     """Classify an answer against the expected digit payload.
 
     Digit runs are extracted from the answer, so surrounding punctuation
@@ -292,14 +289,14 @@ def score(expected: str, answer: str, case: NiahCase | None = None) -> NiahResul
         raise ValueError("expected must be a nonempty string of ASCII digits")
     runs = _DIGIT_RUN.findall(answer)
     if not runs:
-        return NiahResult(Verdict.EMPTY, 0, expected, answer, case)
+        return NiahResult(Verdict.EMPTY, 0)
     if expected in runs:
-        return NiahResult(Verdict.EXACT, len(expected), expected, answer, case)
+        return NiahResult(Verdict.EXACT, len(expected))
     prefixes = [r for r in runs if expected.startswith(r) and r != expected]
     matched = max((len(r) for r in prefixes), default=0)
     if matched * 2 >= len(expected):
-        return NiahResult(Verdict.TRUNCATED, matched, expected, answer, case)
-    return NiahResult(Verdict.WRONG, matched, expected, answer, case)
+        return NiahResult(Verdict.TRUNCATED, matched)
+    return NiahResult(Verdict.WRONG, matched)
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +543,9 @@ def run_grid(
             )
         except ClientError as exc:
             return cell, "error", {**record, "error": str(exc)}
-        result = score(gen.expected, answer, case)
+        result = score(gen.expected, answer)
         kind = result.verdict.value
-        record.update(verdict=kind, matched_prefix_len=result.matched_prefix_len, answer=result.answer)
+        record.update(verdict=kind, matched_prefix_len=result.matched_prefix_len, answer=answer)
         return cell, kind, record
 
     # Both maps yield outcomes in task order, which is (li, di, trial) order.

@@ -66,14 +66,16 @@ Memory is bounded before anything is allocated: random_problem refuses a
 problem whose Q/K/V plus a 256 x S oracle strip, the widest a strip can
 be, would pass MAX_WORKING_SET_BYTES, and RingMesh.validate_for a mesh
 with more than MAX_CLASSIFIED_BLOCKS (query chunk x KV chunk) blocks,
-which bounds the live blocks the ring's schedule lists. The mesh's layout
+which bounds the live blocks the ring's schedule lists, or whose one
+block's scores and mask (16 x query_chunk x kv_chunk bytes; a slab holds
+at least one block) would pass MAX_WORKING_SET_BYTES. The mesh's layout
 (positive sizes, P divides S, each chunk size divides S/P) is checked by
 memplan.ChunkPlan, the one place that rule is written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
@@ -117,7 +119,7 @@ class AttentionProblem:
     k: np.ndarray
     v: np.ndarray
     segment_ids: np.ndarray
-    scale: float | None = None
+    scale: float = field(init=False)  # 1 / sqrt(d), set by __post_init__
     causal: bool = True
 
     def __post_init__(self):
@@ -145,8 +147,7 @@ class AttentionProblem:
             raise ValueError("segment_ids must be non-negative")
         if np.any(np.diff(self.segment_ids) < 0):
             raise ValueError("segment_ids must be non-decreasing (contiguous documents)")
-        if self.scale is None:
-            self.scale = 1.0 / np.sqrt(self.q.shape[1])
+        self.scale = 1.0 / np.sqrt(self.q.shape[1])
 
     @property
     def seq_len(self) -> int:
@@ -174,6 +175,12 @@ class RingMesh:
             raise ValueError(
                 f"S={seq_len} with chunks {self.query_chunk}/{self.kv_chunk} makes {blocks} blocks "
                 f"to classify, more than {MAX_CLASSIFIED_BLOCKS}"
+            )
+        block_bytes = 16 * self.query_chunk * self.kv_chunk  # scores and mask of the one block a slab must hold
+        if block_bytes > MAX_WORKING_SET_BYTES:
+            raise ValueError(
+                f"chunks {self.query_chunk}/{self.kv_chunk} need {block_bytes} bytes for one block's "
+                f"scores and mask, more than {MAX_WORKING_SET_BYTES}"
             )
 
 

@@ -139,7 +139,6 @@ class DimRotation:
 class DimRotationReport:
     """Per-pair wavelengths and whether each completes 2*pi within reach."""
 
-    max_position: int
     dims: list[DimRotation]
     fraction_complete: float
 
@@ -159,7 +158,6 @@ def rotation_report(cfg: RopeConfig) -> DimRotationReport:
         for i in range(len(inv))
     ]
     return DimRotationReport(
-        max_position=cfg.max_position,
         dims=dims,
         fraction_complete=float(complete.mean()),
     )

@@ -27,7 +27,6 @@ __all__ = [
     "round_to_reduced16",
     "widen",
     "round_trip",
-    "round_to_full32",
     "quantize_position",
     "distinct_integer_census",
 ]
@@ -102,11 +101,6 @@ def widen(v: Reduced16) -> float:
 def round_trip(x: float | np.ndarray) -> float | np.ndarray:
     """Value actually represented after rounding x (a float or an array) to the 16-bit format."""
     return quantize_position(x, PrecisionMode.REDUCED16)
-
-
-def round_to_full32(x: float | np.ndarray) -> float | np.ndarray:
-    """Value actually represented after rounding x (a float or an array) to a 32-bit float."""
-    return quantize_position(x, PrecisionMode.FULL32)
 
 
 def quantize_position(position: float | np.ndarray, mode: PrecisionMode) -> float | np.ndarray:

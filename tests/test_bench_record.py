@@ -61,6 +61,15 @@ def test_one_seed_never_meets_the_gain_rule():
     assert line.endswith("change better in 1 of 1 seeds")
 
 
+def test_one_seed_recording_counts_runs():
+    # A held-out seed runs once with each side first, so its two values are two runs of one seed.
+    entries = [{**entry(side, values), "seeds": [1001, 1001]} for side, values in
+               (("parent", [10.0, 12.0]), ("change", [11.0, 11.0]))]
+    metric = {"name": "m", "better": "higher", "bound": 0.25}
+    (line,) = load_tool().pairwise_summary(entries, [metric])
+    assert line.endswith("change better in 1 of 2 runs")
+
+
 @pytest.mark.parametrize("seeds, order", [
     ([7], [("parent", 7), ("change", 7), ("change", 7), ("parent", 7)]),  # one seed: each side first once
     ([1, 2], [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]),  # the per-seed alternation

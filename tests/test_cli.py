@@ -72,6 +72,10 @@ class TestRopePlan:
         check_schema("rope-plan", doc)
         assert doc["recommended"] == 75_000_000
 
+    def test_unparsable_candidate_is_domain_error(self, capsys):
+        error = run_domain_error(capsys, "rope-plan", "--context-len", "524288", "--candidates", "1,x")
+        assert error["type"] == "ValueError" and "cannot parse list '1,x'" in error["message"]
+
     def test_report_csv_columns(self, capsys):
         out = run_cli(
             capsys,
@@ -161,6 +165,7 @@ class TestRingsim:
         "seq_len, chunk, bound",
         [
             (10**12, 10**12, "MAX_WORKING_SET_BYTES"),  # one block, 10^12-token Q/K/V
+            (65536, 65536, "MAX_WORKING_SET_BYTES"),  # one block whose scores alone take 64 GiB
             (2**30, 1, "MAX_CLASSIFIED_BLOCKS"),  # 2^60 one-token blocks
         ],
     )
@@ -214,10 +219,11 @@ class TestMemplan:
             (("--extra-term", " =5"), "non-blank"),
             (("--extra-term", "a =5"), "no surrounding whitespace"),
             (("--extra-term", "a=1e3"), "--extra-term bytes must be an integer, got 'a=1e3'"),
+            (("--extra-term", "foo"), "--extra-term must look like name=bytes, got 'foo'"),
         ],
         ids=[
             "table-name", "negative-term", "negative-budget", "zero-budget", "repeated-term", "empty-name",
-            "blank-name", "padded-name", "non-integer-bytes",
+            "blank-name", "padded-name", "non-integer-bytes", "no-equals",
         ],
     )
     def test_report_inputs_that_break_the_total_are_domain_errors(self, capsys, flags, message):
@@ -336,6 +342,13 @@ class TestNiah:
         )
         check_schema("niah-score", doc)
         assert doc["verdict"] == "truncated"
+
+    def test_score_reads_answer_file(self, capsys, tmp_path):
+        answer = tmp_path / "answer.txt"
+        answer.write_text("I recall 741811.\n", encoding="utf-8")
+        doc = run_json(capsys, "niah-score", "--expected", "7418118", "--answer-file", str(answer))
+        check_schema("niah-score", doc)
+        assert (doc["verdict"], doc["matched_prefix_len"]) == ("truncated", 6)
 
     def test_grid_with_echo_stub(self, capsys, tmp_path):
         log = tmp_path / "detail.json"

@@ -10,7 +10,6 @@ from longctx.memplan import (
     SearchConstraints,
     lookup_table_bytes,
     memory_report,
-    scenario_report,
     search_chunk_plan,
 )
 
@@ -246,28 +245,3 @@ class TestSearch:
         want = brute_force_first_fit(devices, seq_len, budget, constraints)
         assert (None if got is None else (got.q_chunk, got.kv_chunk)) == want
 
-
-class TestScenarioReport:
-    def test_reference_vs_doubled(self):
-        report = scenario_report(reference_plan(), doubled_plan())
-        assert report.delta_bytes == 24 * GIB
-        assert report.ratio == 4.0
-        # The note must scope the comparison to the modeled term.
-        assert "outside this model" in report.note
-
-    def test_identical_plans(self):
-        report = scenario_report(reference_plan(), reference_plan())
-        assert report.delta_bytes == 0
-        assert report.ratio == 1.0
-
-    def test_quarter_mega_token_delta(self):
-        a = ChunkPlan(8, 262_144, 1024, 2048)
-        b = ChunkPlan(8, 262_144, 2048, 4096)
-        want = (8 * 32 * 16 * 262_144 * 4) - (8 * 16 * 8 * 262_144 * 4)
-        assert scenario_report(a, b).delta_bytes == want
-
-    def test_mismatched_plans_rejected(self):
-        with pytest.raises(ValueError):
-            scenario_report(reference_plan(), ChunkPlan(4, 524_288, 1024, 2048))
-        with pytest.raises(ValueError):
-            scenario_report(reference_plan(), ChunkPlan(8, 262_144, 1024, 2048))

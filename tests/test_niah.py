@@ -133,6 +133,10 @@ class TestGenerate:
         with pytest.raises(ValueError):
             make_case(needle_payload="12a4")
 
+    def test_template_without_payload_rejected(self):
+        with pytest.raises(ValueError, match="placeholder"):
+            make_case(needle_template="The magic number is here.")
+
     @pytest.mark.parametrize("payload", ["²³", "٣٤", "１２"])
     def test_non_ascii_digit_payload_rejected(self, payload):
         # str.isdigit accepts these, but no [0-9] run could ever find them.
@@ -274,6 +278,16 @@ class TestGenerateMatchesReference:
             return
         assert generate_case(case, tokenizer) == expected
 
+    @pytest.mark.parametrize("seed", [13, 38])
+    def test_second_draw_block_matches_the_reference(self, seed):
+        # These seeds' first block of draws stays within the budget, so a second block is drawn.
+        case = NiahCase(haystack_tokens=524_288, depth_percent=50.0, needle_payload="4096512", seed=seed)
+        costs = np.array([estimate_tokens(s) for s in filler_sentences()])
+        budget = case.haystack_tokens - estimate_tokens(case.needle_template.format(payload=case.needle_payload))
+        first = np.random.default_rng(seed).integers(0, costs.size, size=64 + int(budget / costs.mean()))
+        assert np.cumsum(costs[first])[-1] <= budget
+        assert generate_case(case) == reference_generate_case(case)
+
 
 class TestScore:
     def test_exact(self):
@@ -406,6 +420,10 @@ class TestGrid:
                 assert cell.counts[verdict] == want.get(verdict, 0), (
                     cell.haystack_tokens, cell.depth_percent, verdict,
                 )
+
+    def test_fixture_client_reads_its_file(self):
+        doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        assert FixtureClient.from_file(FIXTURE).responses == doc["responses"]
 
     def test_aggregation_equals_recount_of_details(self):
         doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
@@ -573,6 +591,11 @@ class TestHttpClient:
         client = HttpCompletionClient(endpoint)
         with pytest.raises(ClientError):
             client.complete("hello")
+
+    @pytest.mark.parametrize("payload", [{"text": 3}, {"text": None}, {"text": ["a"]}])
+    def test_non_text_response_field_raises_client_error(self, payload):
+        with pytest.raises(ClientError, match="'text' is not text"):
+            ApiShape().extract_text(payload)
 
     def test_shape_file_round_trip(self, tmp_path):
         path = tmp_path / "shape.json"

@@ -126,6 +126,25 @@ class TestValidator:
         problems = validate(RecipeManifest(base_model="m", phases=(phase,)))
         assert any("no token accounting" in v.message for v in problems)
 
+    @pytest.mark.parametrize(
+        "change, field, expected",
+        [
+            ({"token_budget": 0}, "token_budget", "> 0"),
+            ({"rope_theta": 1.0}, "rope_theta", "> 1"),
+            ({"mix": {"a": 1.5, "b": -0.5}}, "mix.b", ">= 0"),  # sums to 1
+            ({"sequence_spec": (SequenceSpec(seq_len=0, token_subtotal=1_000_000),)},
+             "sequence_spec[0]", "seq_len >= 1"),
+            ({"sequence_spec": (SequenceSpec(seq_len=1_000, seq_len_max=999, token_subtotal=1_000_000),)},
+             "sequence_spec[0]", "seq_len_max >= seq_len"),
+        ],
+        ids=["budget", "theta", "negative-mix", "seq-len", "band"],
+    )
+    def test_each_phase_rule_flags_one_field(self, change, field, expected):
+        clean = PhasePlan(index=1, phase_id="1", purpose="x", token_budget=1_000_000, rope_theta=10_000.0)
+        assert validate(RecipeManifest(base_model="m", phases=(clean,))) == []
+        problems = validate(RecipeManifest(base_model="m", phases=(replace(clean, **change),)))
+        assert [(v.phase_id, v.field, v.expected) for v in problems] == [("1", field, expected)]
+
     def test_empty_phases_flagged(self):
         # The manifest schema asks for at least one phase.
         problems = validate(parse_manifest(json.dumps({"schema": 1, "base_model": "m", "phases": []})))

@@ -159,6 +159,10 @@ class TestProblemValidation:
         )
         assert p.segment_ids.dtype == np.int64 and p.segment_ids.tolist() == [0, 0, 1, 1]
 
+    def test_one_dimensional_q_rejected(self):
+        with pytest.raises(ValueError, match="q must be 2-D"):
+            AttentionProblem(q=np.zeros(4), k=np.zeros(4), v=np.zeros(4), segment_ids=np.zeros(4, dtype=int))
+
     def test_default_scale(self):
         p = two_segment_problem(4, 16)
         assert p.scale == pytest.approx(0.25)
@@ -738,6 +742,13 @@ class TestSeqLenBound:
     def test_mesh_bounds_classification_tables(self):
         with pytest.raises(ValueError, match=str(MAX_CLASSIFIED_BLOCKS)):
             RingMesh(1, 1, 1).validate_for(2**12)
+
+    def test_mesh_bounds_one_block_scores(self):
+        # A slab holds at least one block, whose scores and mask take 16 * qc * kc bytes.
+        with pytest.raises(ValueError, match=f"chunks 65536/65536 .* more than {MAX_WORKING_SET_BYTES}"):
+            RingMesh(1, 65536, 65536).validate_for(65536)
+        RingMesh(1, 4096, 4096).validate_for(4096)  # exactly MAX_WORKING_SET_BYTES
+        RingMesh(8, 1024, 2048).validate_for(524_288)  # the paper's mesh: 32 MiB
 
 
 class TestRandomProblemDraw:

@@ -20,7 +20,6 @@ from longctx.softnum import (
     Reduced16,
     distinct_integer_census,
     quantize_position,
-    round_to_full32,
     round_to_reduced16,
     round_trip,
     widen,
@@ -150,7 +149,7 @@ class TestRounding:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert round_trip(1e300) == math.inf
-            assert round_to_full32(-1e300) == -math.inf
+            assert quantize_position(-1e300, PrecisionMode.FULL32) == -math.inf
             out = round_trip(np.array([1e300, -1e300, math.nan]))
             assert out[0] == math.inf and out[1] == -math.inf and math.isnan(out[2])
             assert distinct_integer_census(10**300) > 0
@@ -191,14 +190,13 @@ class TestArrays:
     @given(st.lists(st.floats(width=32), max_size=32))
     def test_array_matches_oracle_elementwise(self, xs):
         arr = np.array(xs, dtype=np.float64)
-        trip, full = round_trip(arr), round_to_full32(arr)
+        trip, full = round_trip(arr), quantize_position(arr, PrecisionMode.FULL32)
         assert trip.shape == full.shape == arr.shape
         for x, got in zip(xs, trip):
             want = oracle_round(x)
             assert got == want or (math.isnan(got) and math.isnan(want)), x
         np.testing.assert_array_equal(full, [as_f32(x) for x in xs])
         np.testing.assert_array_equal(quantize_position(arr, PrecisionMode.REDUCED16), trip)
-        np.testing.assert_array_equal(quantize_position(arr, PrecisionMode.FULL32), full)
 
     def test_nan_payload_in_the_low_half_stays_nan(self):
         # Truncating 0x7F800001 alone would leave the infinity pattern 0x7F80.
@@ -207,7 +205,7 @@ class TestArrays:
 
     def test_scalars_stay_python_floats(self):
         assert type(round_trip(3)) is float
-        assert type(round_to_full32(np.float32(0.1))) is float
+        assert type(quantize_position(np.float32(0.1), PrecisionMode.FULL32)) is float
         assert type(quantize_position(257, PrecisionMode.REDUCED16)) is float
 
 
@@ -290,4 +288,4 @@ class TestQuantizePosition:
         assert quantize_position(256, PrecisionMode.REDUCED16) == 256.0
 
     def test_round_to_full32_is_identity_on_f32(self):
-        assert round_to_full32(0.1) == as_f32(0.1)
+        assert quantize_position(0.1, PrecisionMode.FULL32) == as_f32(0.1)

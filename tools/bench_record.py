@@ -131,6 +131,8 @@ def pairwise_summary(entries: list[dict], end_to_end: list[dict]) -> list[str]:
                 if base is None or other is None:
                     continue
                 sign, n = (1 if metric["better"] == "higher" else -1), len(base["values"])
+                seeds = base.get("seeds", [])
+                unit = "runs" if len(set(seeds)) < len(seeds) else "seeds"  # one seed is run once per side order
                 wins = sum(sign * (b - a) > 0 for a, b in zip(base["values"], other["values"]))
                 ratio = other["median"] / base["median"] if base["median"] else float("nan")
                 gain = sign * (other["median"] - base["median"])
@@ -143,7 +145,7 @@ def pairwise_summary(entries: list[dict], end_to_end: list[dict]) -> list[str]:
                     f"{workload} {metric['name']}: {first} {base['median']:.4g} "
                     f"(IQR {base['iqr']:.4g}), {later} "
                     f"{other['median']:.4g} (x{ratio:.3f}); {later} better in {wins} of "
-                    f"{n} seeds" + "".join(f"; {v}" for v in verdicts)
+                    f"{n} {unit}" + "".join(f"; {v}" for v in verdicts)
                 )
     return lines
 
