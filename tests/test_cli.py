@@ -165,7 +165,7 @@ class TestRingsim:
         "seq_len, chunk, bound",
         [
             (10**12, 10**12, "MAX_WORKING_SET_BYTES"),  # one block, 10^12-token Q/K/V
-            (65536, 65536, "MAX_WORKING_SET_BYTES"),  # one block whose scores alone take 64 GiB
+            (65536, 65536, "MAX_WORKING_SET_BYTES"),  # one block whose scores and mask take 64 GiB
             (2**30, 1, "MAX_CLASSIFIED_BLOCKS"),  # 2^60 one-token blocks
         ],
     )

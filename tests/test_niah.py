@@ -284,7 +284,7 @@ class TestGenerateMatchesReference:
         case = NiahCase(haystack_tokens=524_288, depth_percent=50.0, needle_payload="4096512", seed=seed)
         costs = np.array([estimate_tokens(s) for s in filler_sentences()])
         budget = case.haystack_tokens - estimate_tokens(case.needle_template.format(payload=case.needle_payload))
-        first = np.random.default_rng(seed).integers(0, costs.size, size=64 + int(budget / costs.mean()))
+        first = np.random.default_rng(seed).integers(0, costs.size, size=64 + int(budget / costs[costs > 0].mean()))
         assert np.cumsum(costs[first])[-1] <= budget
         assert generate_case(case) == reference_generate_case(case)
 
