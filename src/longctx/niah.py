@@ -27,8 +27,6 @@ import functools
 import json
 import re
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -406,6 +404,9 @@ class HttpCompletionClient:
         self.timeout = timeout
 
     def complete(self, prompt: str, max_tokens: int = 64, temperature: float = 0.0) -> str:
+        import urllib.error  # here, not at module level: only this method uses it, and it costs every CLI start
+        import urllib.request
+
         body = dict(self.shape.extra_body)
         body[self.shape.prompt_field] = prompt
         body[self.shape.max_tokens_field] = max_tokens

@@ -40,11 +40,11 @@ exp(-inf) = 0 to the sums; a full block's mask selects every score; and
 every key outside a span would get weight exactly 0.0, so the oracle's
 span changes which zeros are summed, not the result. Outputs are bitwise
 those of visiting every block. exact_attention never holds an S x S
-array, only one scratch strip per call, reused by every row block and
-updated in place by every pass. A strip has as many rows as _SLAB_BYTES
-holds at width S, from 64 to 256 (256 up to S = 512, 64 from S = 2048),
-so it takes at most max(_SLAB_BYTES, 64 x S x 8) bytes, the ring's own
-temporaries budget; attention_weights returns the full matrix.
+array, only one scratch strip per worker, reused by each of its row
+blocks and updated in place by every pass. A strip has as many rows as
+_SLAB_BYTES holds at width S, from 64 to 256 (256 up to S = 512, 64 from
+S = 2048), so it takes at most max(_SLAB_BYTES, 64 x S x 8) bytes, the
+ring's own temporaries budget; attention_weights returns the full matrix.
 
 ring_attention folds each query chunk's live blocks in the ring's order:
 query device dq gets KV partition dk at ring step (dq - dk) mod P, so a
@@ -62,19 +62,40 @@ call: every row folds its blocks in the same order, a max is exact in any
 order, and each block gets the same gemms, the same sums along its rows
 and the same elementwise steps as a lone block.
 
+Both routes fold independent rows on worker threads where numpy's work,
+which runs without the GIL, outweighs the Python between its calls. A
+slab's state rows lie in one row block of _slab_cap query chunks, and row
+blocks share nothing, so group g of G folds row blocks g, g + G, ... on
+its rows of the state, slab by slab in fold order. The ring splits when
+one block's QK^T takes at least _THREADED_BLOCK_MACS multiply-adds (a row
+block is then one query chunk) and each group gets two row blocks or
+more. The oracle deals its row strips out the same way while the
+workers' scratch strips fit, together, in the _ORACLE_ROWS x S strip
+that random_problem admits: from S = 1024 with two workers. G is at most
+the CPUs the process may use; the calling thread runs group 0 and a
+per-call pool the rest. Bits cannot move: each query chunk meets the same
+slabs, and each row strip the same passes, as on one thread, and the
+slabs, hence RingTrace, depend on the input alone. Workers call only
+private helpers, so a wrapper around a public function (a tracer's, say)
+sees each call once, on the calling thread.
+
 Memory is bounded before anything is allocated: random_problem refuses a
 problem whose Q/K/V plus a 256 x S oracle strip, the widest a strip can
-be, would pass MAX_WORKING_SET_BYTES, and RingMesh.validate_for a mesh
+be and the most the oracle's workers hold together, would pass
+MAX_WORKING_SET_BYTES, and RingMesh.validate_for a mesh
 with more than MAX_CLASSIFIED_BLOCKS (query chunk x KV chunk) blocks,
 which bounds the live blocks the ring's schedule lists, or whose one
 block's scores and mask (16 x query_chunk x kv_chunk bytes; a slab holds
 at least one block) would pass MAX_WORKING_SET_BYTES. The mesh's layout
 (positive sizes, P divides S, each chunk size divides S/P) is checked by
-memplan.ChunkPlan, the one place that rule is written.
+memplan.ChunkPlan, the one place that rule is written. A split ring holds
+one slab's temporaries, _SLAB_BYTES or one block, per group.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -101,6 +122,10 @@ __all__ = [
 _ORACLE_ROWS = 256  # most query rows per oracle strip
 _ORACLE_MIN_ROWS = 64  # fewest: QK^T re-reads the span's keys once per strip
 _SLAB_BYTES = 1 << 20  # bytes of one ring slab's temporaries, in blocks of at least one
+# Fewest multiply-adds in one block's QK^T (query_chunk x kv_chunk x d) for the ring
+# to fold on worker threads: from there on a slab's numpy work, which runs without
+# the GIL, outweighs the Python between its calls, which holds it.
+_THREADED_BLOCK_MACS = 1 << 20
 # Size bounds, checked before anything sized by S is allocated. The oracle
 # holds one strip and its edge masks at once and the ring schedule a few
 # int32s per live block, so a run near either bound needs a few hundred MiB.
@@ -237,19 +262,20 @@ def _oracle_rows(seq_len: int) -> int:
     return min(_ORACLE_ROWS, max(_ORACLE_MIN_ROWS, _SLAB_BYTES // (8 * seq_len)))
 
 
-def _oracle_blocks(p: AttentionProblem):
+def _oracle_blocks(p: AttentionProblem, strips: slice = slice(None)):
     """Softmax weights of each _oracle_rows(S)-row query block over its legal key span.
 
-    Yields (rows, cols, weights), weights of shape (len(rows), len(cols)).
-    See the module docstring for the span. Each row is a full softmax over
-    its span, masked-out pairs exactly 0.0, computed in place in one
-    scratch buffer allocated per call: weights is a contiguous view of its
-    head, overwritten by the next block, so copy it to keep it.
+    Yields (rows, cols, weights), weights of shape (len(rows), len(cols)),
+    for the row blocks strips selects, in order. See the module docstring
+    for the span. Each row is a full softmax over its span, masked-out
+    pairs exactly 0.0, computed in place in one scratch buffer allocated per
+    call: weights is a contiguous view of its head, overwritten by the next
+    block, so copy it to keep it.
     """
     lo, hi = _legal_keys(p)
     rows = min(_oracle_rows(p.seq_len), p.seq_len)
     scratch = np.empty(rows * p.seq_len)
-    for start in range(0, p.seq_len, rows):
+    for start in range(0, p.seq_len, rows)[strips]:
         stop = min(start + rows, p.seq_len)
         first, end = int(lo[start]), int(hi[stop - 1]) + 1
         w = scratch[: (stop - start) * (end - first)].reshape(stop - start, end - first)
@@ -287,19 +313,28 @@ def attention_weights(p: AttentionProblem) -> np.ndarray:
 def exact_attention(p: AttentionProblem, weights_csv: TextIO | None = None) -> np.ndarray:
     """Reference full-precision attention output, (S, d).
 
-    With weights_csv, an open text file, the same walk also writes
+    Row blocks are independent, so up to one group per usable CPU walks
+    every groups-th block, each with its own scratch strip, while those
+    strips fit the _ORACLE_ROWS x S that random_problem admits.
+
+    With weights_csv, an open text file, one walk in order also writes
     attention_weights(p) to it in np.savetxt's format, comma-delimited,
     one row block at a time, through one dense row buffer per call.
     """
     out = np.empty_like(p.v)
     dense = None if weights_csv is None else np.zeros((min(_oracle_rows(p.seq_len), p.seq_len), p.seq_len))
-    for rows, cols, w in _oracle_blocks(p):
-        out[rows] = w @ p.v[cols]
-        if dense is not None:
-            strip = dense[: w.shape[0]]
-            strip[:, cols] = w
-            np.savetxt(weights_csv, strip, delimiter=",")
-            strip[:, cols] = 0.0
+    groups = 1 if dense is not None else _oracle_groups(p.seq_len)
+
+    def walk(group: int) -> None:
+        for rows, cols, w in _oracle_blocks(p, slice(group, None, groups)):
+            np.matmul(w, p.v[cols], out=out[rows])
+            if dense is not None:
+                strip = dense[: w.shape[0]]
+                strip[:, cols] = w
+                np.savetxt(weights_csv, strip, delimiter=",")
+                strip[:, cols] = 0.0
+
+    _run_groups(walk, groups)
     return out
 
 
@@ -363,30 +398,73 @@ def _fold_schedule(lo: np.ndarray, hi: np.ndarray, mesh: RingMesh) -> tuple[np.n
 
 
 def _slabs(widths: list[int], cap: int):
-    """(c0, ns) of each slab, in fold order: its first state row and its steps' widths.
+    """(b0, c0, ns) of each slab, in fold order: its first block, first state row and steps' widths.
 
     widths[t] is how many state rows fold at step t; it never grows with t.
     A slab takes consecutive steps, each from state row c0 on, and ns[r]
-    rows at its r-th step. Its (step x state row) grid, len(ns) x ns[0],
-    holds at most cap cells, so at most cap blocks; a step wider than cap
-    is cut into slabs of one step each.
+    rows at its r-th step; its blocks are b0 on in (step, state row) order.
+    Its (step x state row) grid, len(ns) x ns[0], holds at most cap cells,
+    so at most cap blocks; a step wider than cap is cut into slabs of one
+    step each. So every slab's rows lie in one row block, rows
+    [k * cap, (k + 1) * cap) with k = c0 // cap.
     """
-    t = 0
+    t = b0 = 0
     while t < len(widths):
         w = widths[t]
         if w > cap:
-            yield from ((c0, [min(cap, w - c0)]) for c0 in range(0, w, cap))
-            t += 1
+            yield from ((b0 + c0, c0, [min(cap, w - c0)]) for c0 in range(0, w, cap))
+            t, b0 = t + 1, b0 + w
         else:
             ns = widths[t : t + cap // w]
-            yield 0, ns
-            t += len(ns)
+            yield b0, 0, ns
+            t, b0 = t + len(ns), b0 + sum(ns)
 
 
 def _slab_cap(qc: int, kc: int, d: int) -> int:
     """Blocks per ring slab: as many as _SLAB_BYTES hold, and at least one."""
     # Per block, in float64s: scores and mask; Q, K and V; P.V and P.V | rowsum; row max, shift, alpha.
     return max(1, _SLAB_BYTES // (8 * (2 * qc * kc + 3 * qc * d + 2 * kc * d + 3 * qc)))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this OS
+        return os.cpu_count() or 1
+
+
+def _groups(units: int) -> int:
+    """Worker groups for units independent pieces of work: one per usable CPU, at most one per unit."""
+    return 1 if units < 2 else min(units, _usable_cpus())
+
+
+def _oracle_groups(seq_len: int) -> int:
+    """Worker groups for the oracle's row blocks: as many as fit one _ORACLE_ROWS x S strip of scratch."""
+    rows = min(_oracle_rows(seq_len), seq_len)
+    return _groups(min(-(-seq_len // rows), _ORACLE_ROWS // rows))
+
+
+def _ring_groups(n_q: int, qc: int, kc: int, d: int) -> int:
+    """Worker groups for the ring's row blocks, _slab_cap query chunks each: two or more row blocks per group.
+
+    Only blocks of at least _THREADED_BLOCK_MACS multiply-adds are worth a thread; those never
+    share a slab, so a row block is one query chunk.
+    """
+    if qc * kc * d < _THREADED_BLOCK_MACS:
+        return 1
+    return _groups(-(-n_q // _slab_cap(qc, kc, d)) // 2)
+
+
+def _run_groups(task, groups: int) -> None:
+    """task(g) for g in range(groups): group 0 on the calling thread, the rest on a per-call pool."""
+    if groups == 1:
+        return task(0)
+    with ThreadPoolExecutor(groups - 1) as pool:
+        futures = [pool.submit(task, g) for g in range(1, groups)]
+        task(0)
+        for future in futures:
+            future.result()
 
 
 def _rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -425,56 +503,63 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
 
     q, key, v = p.q.reshape(n_q, qc, d), p.k.reshape(n_kv, kc, d), p.v.reshape(n_kv, kc, d)
     m, state = np.full((n_q, qc), -np.inf), np.zeros((n_q, qc, d + 1))  # state: acc | l
-    first, slabs = 0, 0
-    for c0, ns in _slabs(widths.tolist(), _slab_cap(qc, kc, d)):
-        # Batched: scores, mask, running max, shift, alpha, exp, row sums and P.V of every block.
-        w, blocks = ns[0], slice(first, first + sum(ns))
-        qi, ki, first, slabs = qi_all[blocks], ki_all[blocks], blocks.stop, slabs + 1
-        scores = _rows(q, qi) @ _rows(key, ki).transpose(0, 2, 1)
-        scores *= p.scale
-        partial = np.flatnonzero(~full[blocks])  # a full block's mask would keep every score
-        if partial.size:
-            qp = qi[partial]
-            keys = (ki[partial] * kc)[:, None, None] + np.arange(kc, dtype=np.int32)
-            illegal = np.zeros(scores.shape, bool)
-            illegal[partial] = (keys < lo.take(qp, axis=0)) | (keys > hi.take(qp, axis=0))
-            np.copyto(scores, -np.inf, where=illegal)
-        # Running max of each state row over its steps, seeded with its carried max:
-        # a (step x state row) grid, -inf where a row has stopped folding.
-        grid = np.full((len(ns) + 1, w, qc), -np.inf)
-        grid[0] = m[c0 : c0 + w]
-        before, after = grid[:-1].reshape(-1, qc), grid[1:].reshape(-1, qc)
-        cells = slice(None)  # the grid's cells that hold a block, in block order
-        if ns[-1] < w:
-            cells = np.flatnonzero(np.arange(w) < np.array(ns)[:, None])
-        # Row max: reduceat's per-row loop costs less than max(axis=2)'s, and a max is exact in any order.
-        after[cells] = np.maximum.reduceat(scores.reshape(-1), np.arange(0, scores.size, kc)).reshape(-1, qc)
-        np.maximum.accumulate(grid, axis=0, out=grid)
-        m[c0 : c0 + w] = grid[-1]
-        new_m = after[cells]
-        # Rows that have seen nothing legal yet keep new_m == -inf; shift those
-        # by 0 so exp(-inf) cleanly produces all-zero contributions.
-        shift = np.where(new_m == -np.inf, 0.0, new_m)
-        # exp(-inf - shift) is 0, so rows with no state yet start from zero.
-        alpha = np.exp(before[cells] - shift)[..., None]
-        e = scores
-        e -= shift[..., None]
-        if partial.size:  # numpy's exp is slow at -inf, so masked scores take exp(0) and are zeroed after
-            np.copyto(e, 0.0, where=illegal)
-        np.exp(e, out=e)
-        if partial.size:
-            np.copyto(e, 0.0, where=illegal)
-        terms = np.empty((qi.size, qc, d + 1))
-        np.matmul(e, _rows(v, ki), out=terms[..., :d])
-        terms[..., d] = e.sum(axis=2)
-        # Sequential: per fold step, acc = alpha * acc + P.V and l = alpha * l + rowsum.
-        b = 0
-        for n in ns:
-            rec = state[c0 : c0 + n]
-            rec *= alpha[b : b + n]
-            rec += terms[b : b + n]
-            b += n
+    cap = _slab_cap(qc, kc, d)
+    slabs = list(_slabs(widths.tolist(), cap))
+    groups = _ring_groups(n_q, qc, kc, d)  # group g folds row blocks g, g + groups, ...
 
+    def fold(group: int) -> None:
+        for b0, c0, ns in slabs:
+            if c0 // cap % groups != group:
+                continue
+            # Batched: scores, mask, running max, shift, alpha, exp, row sums and P.V of every block.
+            w, blocks = ns[0], slice(b0, b0 + sum(ns))
+            qi, ki = qi_all[blocks], ki_all[blocks]
+            scores = _rows(q, qi) @ _rows(key, ki).transpose(0, 2, 1)
+            scores *= p.scale
+            partial = np.flatnonzero(~full[blocks])  # a full block's mask would keep every score
+            if partial.size:
+                qp = qi[partial]
+                keys = (ki[partial] * kc)[:, None, None] + np.arange(kc, dtype=np.int32)
+                illegal = np.zeros(scores.shape, bool)
+                illegal[partial] = (keys < lo.take(qp, axis=0)) | (keys > hi.take(qp, axis=0))
+                np.copyto(scores, -np.inf, where=illegal)
+            # Running max of each state row over its steps, seeded with its carried max:
+            # a (step x state row) grid, -inf where a row has stopped folding.
+            grid = np.full((len(ns) + 1, w, qc), -np.inf)
+            grid[0] = m[c0 : c0 + w]
+            before, after = grid[:-1].reshape(-1, qc), grid[1:].reshape(-1, qc)
+            cells = slice(None)  # the grid's cells that hold a block, in block order
+            if ns[-1] < w:
+                cells = np.flatnonzero(np.arange(w) < np.array(ns)[:, None])
+            # Row max: reduceat's per-row loop costs less than max(axis=2)'s, and a max is exact in any order.
+            after[cells] = np.maximum.reduceat(scores.reshape(-1), np.arange(0, scores.size, kc)).reshape(-1, qc)
+            np.maximum.accumulate(grid, axis=0, out=grid)
+            m[c0 : c0 + w] = grid[-1]
+            new_m = after[cells]
+            # Rows that have seen nothing legal yet keep new_m == -inf; shift those
+            # by 0 so exp(-inf) cleanly produces all-zero contributions.
+            shift = np.where(new_m == -np.inf, 0.0, new_m)
+            # exp(-inf - shift) is 0, so rows with no state yet start from zero.
+            alpha = np.exp(before[cells] - shift)[..., None]
+            e = scores
+            e -= shift[..., None]
+            if partial.size:  # numpy's exp is slow at -inf, so masked scores take exp(0) and are zeroed after
+                np.copyto(e, 0.0, where=illegal)
+            np.exp(e, out=e)
+            if partial.size:
+                np.copyto(e, 0.0, where=illegal)
+            terms = np.empty((qi.size, qc, d + 1))
+            np.matmul(e, _rows(v, ki), out=terms[..., :d])
+            terms[..., d] = e.sum(axis=2)
+            # Sequential: per fold step, acc = alpha * acc + P.V and l = alpha * l + rowsum.
+            b = 0
+            for n in ns:
+                rec = state[c0 : c0 + n]
+                rec *= alpha[b : b + n]
+                rec += terms[b : b + n]
+                b += n
+
+    _run_groups(fold, groups)
     np.divide(state[..., :d], state[..., d:], out=state[..., :d])
     out = state[row, :, :d]
     trace = RingTrace(
@@ -483,7 +568,7 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
         blocks_visited=ki_all.size,
         blocks_full=int(np.count_nonzero(full)),
         blocks_skipped=n_q * n_kv - ki_all.size,
-        kernel_calls=slabs,
+        kernel_calls=len(slabs),
         fold_steps=widths.size,
     )
     return out.reshape(p.seq_len, d), trace

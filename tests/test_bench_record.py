@@ -1,6 +1,7 @@
 """Checks of tools/bench_record.py that need no perfbench run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,24 @@ def test_side_order_is_balanced(tmp_path, monkeypatch, seeds, order):
     by_side = {e["side"]: e for e in entries}
     assert by_side["parent"]["values"] == [float(i + 1) for i, call in enumerate(calls) if call[0] == "parent"]
     assert by_side["parent"]["seeds"] == by_side["change"]["seeds"] == [seed for label, seed in order if label == "parent"]
+
+
+@pytest.mark.parametrize("affinity, expected", [({0, 2}, 2), (None, 6)])  # None: the OS keeps no mask
+def test_entries_record_usable_cpus(tmp_path, monkeypatch, capsys, affinity, expected):
+    # os.cpu_count() counts CPUs the affinity mask excludes; usable_cpus is the mask's size.
+    tool = load_tool()
+    monkeypatch.setattr(tool.os, "cpu_count", lambda: 6)
+    if affinity is None:
+        monkeypatch.delattr(tool.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(tool.os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(tool, "run_perfbench", lambda *args: {"metrics": {"ops_per_s": {"value": 1.0, "unit": "1/s"}}})
+    monkeypatch.setattr(tool, "_git", lambda checkout, *argv: "")
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}'
+    )
+    out = tmp_path / "BENCH.json"
+    assert tool.main(["--side", f"change={tmp_path}", "--seeds", "1", "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["entries"]
+    assert (entry["nproc"], entry["usable_cpus"]) == (6, expected)
+    assert f"usable CPUs {expected} (nproc 6)" in capsys.readouterr().err

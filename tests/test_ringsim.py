@@ -8,6 +8,7 @@ the vectorized implementations it checks.
 import importlib.util
 import itertools
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -257,8 +258,9 @@ class TestRowBlockedOracle:
         assert peak < 32 * 2**20  # 6.1 MiB measured
 
     def test_scratch_fits_the_slab_budget(self):
-        # One 4096-token document: a 64-row strip (2 MiB) reused per row block,
-        # beside the 4 MiB output, not two fresh 256-row strips (8 MiB each).
+        # One 4096-token document, walked in order on one CPU: a 64-row strip (2 MiB)
+        # reused per row block, beside the 4 MiB output, not two fresh 256-row strips
+        # (8 MiB each). TestWorkerGroups bounds the strips of a split walk.
         rng = np.random.default_rng(0)
         S, d = 4096, 128
         p = AttentionProblem(
@@ -267,7 +269,8 @@ class TestRowBlockedOracle:
         )
         tracemalloc.start()
         try:
-            exact_attention(p)
+            with mock.patch.object(ringsim, "_usable_cpus", lambda: 1):
+                exact_attention(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -401,7 +404,8 @@ class TestRing:
         assert raises(lambda: RingMesh(P, qc, kc).validate_for(S)) == raises(lambda: ChunkPlan(P, S, qc, kc))
 
     def test_output_gather_peak(self):
-        # One 4096-token document at d = 128: the state and one gathered output, 4 MiB each.
+        # One 4096-token document at d = 128 on one CPU: the state and one gathered
+        # output, 4 MiB each. TestWorkerGroups bounds the slabs of a split fold.
         rng = np.random.default_rng(0)
         S, d = 4096, 128
         p = AttentionProblem(
@@ -410,11 +414,12 @@ class TestRing:
         )
         tracemalloc.start()
         try:
-            ring_attention(p, RingMesh(8, 128, 512))
+            with mock.patch.object(ringsim, "_usable_cpus", lambda: 1):
+                ring_attention(p, RingMesh(8, 128, 512))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 2**20  # 8.8 MiB measured
+        assert peak <= 10 * 2**20  # 8.1 MiB measured
 
 
 @st.composite
@@ -718,6 +723,152 @@ class TestBatchedKernel:
             tracemalloc.stop()
         assert trace.blocks_visited == trace.blocks_full == 1 << 20
         assert peak < 32 * 2**20  # 22.4 MiB measured
+
+
+def cpus(n: int):
+    """Patch the CPUs ringsim may use to n."""
+    return mock.patch.object(ringsim, "_usable_cpus", lambda: n)
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was made")
+
+
+def criterion3_meshes():
+    """Every (S, P, query chunk, KV chunk) the acceptance sweep (criterion 3) can draw."""
+    for S in (8, 16, 24, 32, 48, 64, 96, 128, 192, 256):
+        for P in (P for P in range(1, S + 1) if S % P == 0):
+            chunks = [c for c in range(1, S // P + 1) if S // P % c == 0]
+            yield from ((S, P, qc, kc) for qc in chunks for kc in chunks)
+
+
+def ring_long_meshes():
+    """Every (S, P, query chunk, KV chunk) of the benchmark's large-block shapes: chunks >= 64."""
+    for S in (1024, 2048, 4096):
+        for P in (4, 8):
+            chunks = [c for c in range(64, S // P + 1) if S // P % c == 0]
+            yield from ((S, P, qc, kc) for qc in chunks for kc in chunks)
+
+
+class TestWorkerGroups:
+    """The ring's row blocks and the oracle's row strips on worker threads, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed_ring_problems(), st.sampled_from(SLAB_BUDGETS), st.sampled_from([2, 3]))
+    def test_forced_ring_split_is_bit_identical(self, case, budget, n):
+        # Any block size takes the split; 3 groups is more threads than a 2-CPU host
+        # has, and a short switch interval hands the GIL over as often as it can.
+        p, mesh = case
+        with mock.patch.object(ringsim, "_SLAB_BYTES", budget):
+            with cpus(1):
+                alone, alone_trace = ring_attention(p, mesh)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with cpus(n), mock.patch.object(ringsim, "_THREADED_BLOCK_MACS", 0):
+                    out, trace = ring_attention(p, mesh)
+            finally:
+                sys.setswitchinterval(interval)
+        assert out.tobytes() == alone.tobytes() == per_block_ring(p, mesh).tobytes()
+        assert trace == alone_trace
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from([1024, 2048]), st.sets(st.integers(1, 1023), max_size=8), st.booleans(),
+        st.integers(1, 16), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1),
+    )  # fmt: skip
+    def test_split_oracle_is_bit_identical(self, S, cuts, causal, d, n, seed):
+        # S = 1024 gives at most 2 groups of 128-row strips, S = 2048 up to 4 of 64 rows.
+        rng = np.random.default_rng(seed)
+        lengths = np.diff([0, *sorted(cuts), S])
+        p = AttentionProblem(
+            q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)), v=rng.standard_normal((S, d)),
+            segment_ids=np.repeat(np.arange(lengths.size), lengths), causal=causal,
+        )
+        with cpus(n):
+            assert ringsim._oracle_groups(S) == min(n, S // 512)
+            split = exact_attention(p)
+        with cpus(1):
+            walk = exact_attention(p)
+        assert split.tobytes() == walk.tobytes()
+
+    def test_sweep_and_toolkit_shapes_take_one_group(self):
+        # Acceptance-sweep (head_dim 2-32) and toolkit ringsim (8, 16, 32) shapes keep
+        # one group and one strip walk however many CPUs the host has.
+        toolkit = [(128, 4, 4, 8), (256, 4, 8, 8), (192, 2, 8, 12), (256, 8, 4, 16)]
+        with cpus(64):
+            for S, P, qc, kc in [*criterion3_meshes(), *toolkit]:
+                assert ringsim._oracle_groups(S) == 1
+                assert all(ringsim._ring_groups(S // qc, qc, kc, d) == 1 for d in range(2, 33))
+
+    def test_large_blocks_split(self):
+        # A block at or past _THREADED_BLOCK_MACS is a slab, and so a row block, of its own.
+        # The large-block shapes split wherever their blocks reach it, and the oracle from S = 1024.
+        split = 0
+        with cpus(2):
+            for S, P, qc, kc in ring_long_meshes():
+                assert ringsim._oracle_groups(S) == 2
+                for d in (64, 128):
+                    big = qc * kc * d >= ringsim._THREADED_BLOCK_MACS
+                    assert not big or _slab_cap(qc, kc, d) == 1
+                    assert ringsim._ring_groups(S // qc, qc, kc, d) == (2 if big else 1)
+                    split += big
+        assert split == 134  # of 158 (mesh, d) pairs; the rest have 64 x 64 blocks, or 64 x 128 at d = 64
+
+    def test_one_cpu_makes_no_pool(self):
+        # A ring_long-like problem, which splits on two CPUs, run on one: no executor,
+        # and the output and trace of the two-CPU run.
+        rng = np.random.default_rng(31)
+        p = random_problem(2048, 64, rng, num_segments=3)
+        mesh = RingMesh(4, 128, 256)
+        with cpus(2), mock.patch.object(ringsim, "_run_groups", wraps=ringsim._run_groups) as run:
+            out, trace = ring_attention(p, mesh)
+            reference = exact_attention(p)
+        assert [c.args[1] for c in run.call_args_list] == [2, 2]
+        with cpus(1), mock.patch.object(ringsim, "ThreadPoolExecutor", no_pool):
+            alone, alone_trace = ring_attention(p, mesh)
+            assert exact_attention(p).tobytes() == reference.tobytes()
+        assert alone.tobytes() == out.tobytes()
+        assert alone_trace == trace
+
+    def test_split_oracle_scratch_fits_the_admitted_strip(self):
+        # One 4096-token document at d = 128 on four CPUs: four 64-row strips (2 MiB each)
+        # are the _ORACLE_ROWS x S strip random_problem admits, beside the 4 MiB output.
+        rng = np.random.default_rng(0)
+        S, d = 4096, 128
+        p = AttentionProblem(
+            q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)),
+            v=rng.standard_normal((S, d)), segment_ids=np.zeros(S, dtype=np.int64),
+        )
+        with cpus(4):
+            assert ringsim._oracle_groups(S) == 4
+            tracemalloc.start()
+            try:
+                exact_attention(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 8 * S * (d + ringsim._ORACLE_ROWS) + 2**20  # 12.3 MiB measured
+
+    def test_split_ring_holds_one_slab_per_group(self):
+        # One 4096-token document at d = 128 on four CPUs: the state and output (4 MiB
+        # each) plus, per group, one slab of one 128 x 512 block (2.5 MiB by _slab_cap's count).
+        rng = np.random.default_rng(0)
+        S, d, qc, kc = 4096, 128, 128, 512
+        p = AttentionProblem(
+            q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)),
+            v=rng.standard_normal((S, d)), segment_ids=np.zeros(S, dtype=np.int64),
+        )
+        block = 8 * (2 * qc * kc + 3 * qc * d + 2 * kc * d + 3 * qc)
+        with cpus(4):
+            assert ringsim._ring_groups(S // qc, qc, kc, d) == 4
+            tracemalloc.start()
+            try:
+                ring_attention(p, RingMesh(8, qc, kc))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 8 * S * (2 * d + 1) + 4 * block  # 8.9 MiB measured
 
 
 class TestSeqLenBound:

@@ -20,11 +20,13 @@ and writes nothing.
 The output holds one entry per (side, workload, metric): workload, metric,
 unit, median, IQR (third minus first quartile, inclusive method), run
 count, the seed and the value of each run, the checkout's git SHA (and
-whether its tracked files differ from it), ``nproc`` and the run length.
-The output file is written fresh from the sides of one call.
+whether its tracked files differ from it), ``nproc`` (``os.cpu_count()``,
+every CPU of the host), ``usable_cpus`` (those its affinity mask lets the
+runs use) and the run length. The output file is written fresh from the
+sides of one call.
 
-With two or more sides, stderr then gets one line per workload,
-end-to-end metric and later side: the first side's median and IQR, the
+Stderr then gets the usable CPU count and, with two or more sides, one line
+per workload, end-to-end metric and later side: the first side's median and IQR, the
 later side's median, their ratio, and in how many seeds (runs, for a
 single seed) the later side did better, in the direction ``BENCHMARK.json`` calls better (a tie is not a
 win). The line ends in ``regressed`` when the later median is worse than
@@ -64,6 +66,14 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace:
     return result
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else ``os.cpu_count()`` where the OS keeps none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count()
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -101,7 +111,7 @@ def record(sides: dict[str, Path], seeds: list[int], only: list[str] | None, tra
                 print(f"{label} {workload} seed {seed}: "
                       f"{result['metrics']['ops_per_s']['value']:.4g} ops/s", file=sys.stderr)  # fmt: skip
 
-    entries = []
+    entries, cpus = [], usable_cpus()
     for (label, workload), results in runs.items():
         path = sides[label]
         sha = _git(path, "rev-parse", "HEAD")
@@ -113,7 +123,7 @@ def record(sides: dict[str, Path], seeds: list[int], only: list[str] | None, tra
                 "side": label, "workload": workload, "metric": metric,
                 "unit": first["unit"], "median": median, "iqr": q3 - q1,
                 "runs": len(values), "seeds": rounds, "values": values,
-                "git_sha": sha, "dirty": dirty, "nproc": os.cpu_count(), "seconds": seconds,
+                "git_sha": sha, "dirty": dirty, "nproc": os.cpu_count(), "usable_cpus": cpus, "seconds": seconds,
             })  # fmt: skip
     return entries
 
@@ -175,6 +185,8 @@ def main(argv=None) -> int:
     doc = {"harness": harness, "entries": entries}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     end_to_end = json.loads((next(iter(sides.values())) / "BENCHMARK.json").read_text())["end_to_end"]
+    if entries:
+        print(f"usable CPUs {entries[0]['usable_cpus']} (nproc {entries[0]['nproc']})", file=sys.stderr)
     for line in pairwise_summary(entries, end_to_end):
         print(line, file=sys.stderr)
     return 0
