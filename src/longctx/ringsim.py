@@ -68,8 +68,9 @@ slab's state rows lie in one row block of _slab_cap query chunks, and row
 blocks share nothing, so group g of G folds row blocks g, g + G, ... on
 its rows of the state, slab by slab in fold order. The ring splits when
 one block's QK^T takes at least _THREADED_BLOCK_MACS multiply-adds (a row
-block is then one query chunk) and each group gets two row blocks or
-more. The oracle deals its row strips out the same way while the
+block is then one query chunk), each group gets two row blocks or more
+and the groups' slabs, one each, fit MAX_WORKING_SET_BYTES together. The
+oracle deals its row strips out the same way while the
 workers' scratch strips fit, together, in the _ORACLE_ROWS x S strip
 that random_problem admits: from S = 1024 with two workers. G is at most
 the CPUs the process may use; the calling thread runs group 0 and a
@@ -89,7 +90,8 @@ block's scores and mask (16 x query_chunk x kv_chunk bytes; a slab holds
 at least one block) would pass MAX_WORKING_SET_BYTES. The mesh's layout
 (positive sizes, P divides S, each chunk size divides S/P) is checked by
 memplan.ChunkPlan, the one place that rule is written. A split ring holds
-one slab's temporaries, _SLAB_BYTES or one block, per group.
+one slab's temporaries, _SLAB_BYTES or one block, per group, and splits
+only while those slabs together stay within MAX_WORKING_SET_BYTES.
 """
 
 from __future__ import annotations
@@ -420,10 +422,15 @@ def _slabs(widths: list[int], cap: int):
             t, b0 = t + len(ns), b0 + sum(ns)
 
 
+def _block_bytes(qc: int, kc: int, d: int) -> int:
+    """Bytes of one block's share of a ring slab's temporaries."""
+    # In float64s: scores and mask; Q, K and V; P.V and P.V | rowsum; row max, shift, alpha.
+    return 8 * (2 * qc * kc + 3 * qc * d + 2 * kc * d + 3 * qc)
+
+
 def _slab_cap(qc: int, kc: int, d: int) -> int:
     """Blocks per ring slab: as many as _SLAB_BYTES hold, and at least one."""
-    # Per block, in float64s: scores and mask; Q, K and V; P.V and P.V | rowsum; row max, shift, alpha.
-    return max(1, _SLAB_BYTES // (8 * (2 * qc * kc + 3 * qc * d + 2 * kc * d + 3 * qc)))
+    return max(1, _SLAB_BYTES // _block_bytes(qc, kc, d))
 
 
 def _usable_cpus() -> int:
@@ -449,22 +456,28 @@ def _ring_groups(n_q: int, qc: int, kc: int, d: int) -> int:
     """Worker groups for the ring's row blocks, _slab_cap query chunks each: two or more row blocks per group.
 
     Only blocks of at least _THREADED_BLOCK_MACS multiply-adds are worth a thread; those never
-    share a slab, so a row block is one query chunk.
+    share a slab, so a row block is one query chunk. Each group holds one slab at a time, so
+    the groups' slabs together stay within MAX_WORKING_SET_BYTES, one slab's admitted bound.
     """
     if qc * kc * d < _THREADED_BLOCK_MACS:
         return 1
-    return _groups(-(-n_q // _slab_cap(qc, kc, d)) // 2)
+    slab = max(_SLAB_BYTES, _block_bytes(qc, kc, d))
+    return _groups(min(-(-n_q // _slab_cap(qc, kc, d)) // 2, MAX_WORKING_SET_BYTES // slab))
 
 
-def _run_groups(task, groups: int) -> None:
-    """task(g) for g in range(groups): group 0 on the calling thread, the rest on a per-call pool."""
+def _run_groups(task, groups: int):
+    """task(g) for g in range(groups): group 0 on the calling thread, the rest on a per-call pool.
+
+    Returns task(0).
+    """
     if groups == 1:
         return task(0)
     with ThreadPoolExecutor(groups - 1) as pool:
         futures = [pool.submit(task, g) for g in range(1, groups)]
-        task(0)
+        first = task(0)
         for future in futures:
             future.result()
+    return first
 
 
 def _rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -503,13 +516,15 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
 
     q, key, v = p.q.reshape(n_q, qc, d), p.k.reshape(n_kv, kc, d), p.v.reshape(n_kv, kc, d)
     m, state = np.full((n_q, qc), -np.inf), np.zeros((n_q, qc, d + 1))  # state: acc | l
-    cap = _slab_cap(qc, kc, d)
-    slabs = list(_slabs(widths.tolist(), cap))
+    cap, steps = _slab_cap(qc, kc, d), widths.tolist()
     groups = _ring_groups(n_q, qc, kc, d)  # group g folds row blocks g, g + groups, ...
 
-    def fold(group: int) -> None:
-        for b0, c0, ns in slabs:
-            if c0 // cap % groups != group:
+    def fold(group: int) -> int:
+        """Folds group's slabs; returns how many slabs there are, its own or not."""
+        slabs = 0
+        for b0, c0, ns in _slabs(steps, cap):
+            slabs += 1
+            if groups > 1 and c0 // cap % groups != group:
                 continue
             # Batched: scores, mask, running max, shift, alpha, exp, row sums and P.V of every block.
             w, blocks = ns[0], slice(b0, b0 + sum(ns))
@@ -558,8 +573,9 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
                 rec *= alpha[b : b + n]
                 rec += terms[b : b + n]
                 b += n
+        return slabs
 
-    _run_groups(fold, groups)
+    slabs = _run_groups(fold, groups)
     np.divide(state[..., :d], state[..., d:], out=state[..., :d])
     out = state[row, :, :d]
     trace = RingTrace(
@@ -568,7 +584,7 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
         blocks_visited=ki_all.size,
         blocks_full=int(np.count_nonzero(full)),
         blocks_skipped=n_q * n_kv - ki_all.size,
-        kernel_calls=len(slabs),
+        kernel_calls=slabs,
         fold_steps=widths.size,
     )
     return out.reshape(p.seq_len, d), trace

@@ -832,15 +832,16 @@ class TestWorkerGroups:
         assert alone_trace == trace
 
     def test_split_oracle_scratch_fits_the_admitted_strip(self):
-        # One 4096-token document at d = 128 on four CPUs: four 64-row strips (2 MiB each)
-        # are the _ORACLE_ROWS x S strip random_problem admits, beside the 4 MiB output.
+        # One 4096-token document at d = 128 with 64 CPUs: four groups at most, whose 64-row
+        # strips (2 MiB each) are the _ORACLE_ROWS x S strip random_problem admits, beside
+        # the 4 MiB output.
         rng = np.random.default_rng(0)
         S, d = 4096, 128
         p = AttentionProblem(
             q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)),
             v=rng.standard_normal((S, d)), segment_ids=np.zeros(S, dtype=np.int64),
         )
-        with cpus(4):
+        with cpus(64):
             assert ringsim._oracle_groups(S) == 4
             tracemalloc.start()
             try:
@@ -851,16 +852,17 @@ class TestWorkerGroups:
         assert peak <= 8 * S * (d + ringsim._ORACLE_ROWS) + 2**20  # 12.3 MiB measured
 
     def test_split_ring_holds_one_slab_per_group(self):
-        # One 4096-token document at d = 128 on four CPUs: the state and output (4 MiB
-        # each) plus, per group, one slab of one 128 x 512 block (2.5 MiB by _slab_cap's count).
+        # One 4096-token document at d = 128 with 64 CPUs and a working-set bound of four
+        # 128 x 512 blocks (2.5 MiB each by _slab_cap's count): four groups, one slab each,
+        # beside the state and output (4 MiB each).
         rng = np.random.default_rng(0)
         S, d, qc, kc = 4096, 128, 128, 512
         p = AttentionProblem(
             q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)),
             v=rng.standard_normal((S, d)), segment_ids=np.zeros(S, dtype=np.int64),
         )
-        block = 8 * (2 * qc * kc + 3 * qc * d + 2 * kc * d + 3 * qc)
-        with cpus(4):
+        bound = 4 * 8 * (2 * qc * kc + 3 * qc * d + 2 * kc * d + 3 * qc)
+        with cpus(64), mock.patch.object(ringsim, "MAX_WORKING_SET_BYTES", bound):
             assert ringsim._ring_groups(S // qc, qc, kc, d) == 4
             tracemalloc.start()
             try:
@@ -868,7 +870,25 @@ class TestWorkerGroups:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= 8 * S * (2 * d + 1) + 4 * block  # 8.9 MiB measured
+        assert peak <= 8 * S * (2 * d + 1) + bound  # 8.9 MiB measured
+
+    @pytest.mark.parametrize(
+        "S, qc, kc, d, groups",
+        [
+            (65536, 4096, 4096, 1, 1),  # one block takes about MAX_WORKING_SET_BYTES
+            (65536, 4096, 4096, 128, 1),
+            (524_288, 1024, 2048, 128, 6),  # the paper's mesh: 39 MiB a block
+            (524_288, 512, 512, 128, 39),
+            (524_288, 256, 256, 128, 64),  # 64 CPUs bind before the bound
+        ],
+    )
+    def test_ring_groups_fit_the_working_set_bound(self, S, qc, kc, d, groups):
+        # However many CPUs: one slab per group, all of them within MAX_WORKING_SET_BYTES,
+        # one slab's admitted bound; a lone slab is the mesh check's to bound.
+        with cpus(64):
+            assert ringsim._ring_groups(S // qc, qc, kc, d) == groups
+        slab = max(ringsim._SLAB_BYTES, ringsim._block_bytes(qc, kc, d))
+        assert groups == 1 or groups * slab <= MAX_WORKING_SET_BYTES
 
 
 class TestSeqLenBound:
