@@ -24,7 +24,6 @@ import dataclasses
 import json
 import os
 import sys
-from contextlib import nullcontext
 from datetime import datetime, timezone
 
 import numpy as np
@@ -128,9 +127,11 @@ def _cmd_ringsim(args) -> dict:
             problem, segment_ids=_parse_segments(args.segments, args.seq_len)
         )
     out, trace = ringsim.ring_attention(problem, mesh)
-    dump = open(args.dump_weights, "w", encoding="utf-8") if args.dump_weights else nullcontext()
-    with dump as fh:
-        reference = ringsim.exact_attention(problem, weights_csv=fh)
+    reference = ringsim.exact_attention(problem)
+    if args.dump_weights:
+        with open(args.dump_weights, "w", encoding="utf-8") as fh:
+            for _, strip in ringsim.weight_strips(problem):
+                np.savetxt(fh, strip, delimiter=",")
     return {
         "command": "ringsim",
         "seq_len": args.seq_len,
@@ -223,7 +224,7 @@ def _cmd_niah_gen(args) -> dict:
         "needle_sentence_index": gen.needle_sentence_index,
         "needle_char_offset": gen.needle_char_offset,
         "estimated_tokens": gen.estimated_tokens,
-        "question": gen.question,
+        "question": case.question,
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

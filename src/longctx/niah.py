@@ -134,8 +134,6 @@ class GeneratedCase:
     case: NiahCase
     document: str
     needle: str  # the formatted needle, at needle_char_offset in document
-    question: str
-    expected: str
     needle_sentence_index: int
     needle_char_offset: int
     estimated_tokens: float
@@ -255,8 +253,6 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
         case=case,
         document=document,
         needle=needle,
-        question=case.question,
-        expected=case.needle_payload,
         needle_sentence_index=insert_at,
         needle_char_offset=offset,
         estimated_tokens=estimated,
@@ -264,7 +260,7 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
 
 
 def build_prompt(gen: GeneratedCase) -> str:
-    return f"{gen.document}\n\n{gen.question}"
+    return f"{gen.document}\n\n{gen.case.question}"
 
 
 def score(expected: str, answer: str) -> NiahResult:
@@ -544,7 +540,7 @@ def run_grid(
             )
         except ClientError as exc:
             return cell, "error", {**record, "error": str(exc)}
-        result = score(gen.expected, answer)
+        result = score(case.needle_payload, answer)
         kind = result.verdict.value
         record.update(verdict=kind, matched_prefix_len=result.matched_prefix_len, answer=answer)
         return cell, kind, record

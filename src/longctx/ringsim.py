@@ -39,12 +39,7 @@ row's max unchanged (alpha = 1, or the state is still zero) and adds
 exp(-inf) = 0 to the sums; a full block's mask selects every score; and
 every key outside a span would get weight exactly 0.0, so the oracle's
 span changes which zeros are summed, not the result. Outputs are bitwise
-those of visiting every block. exact_attention never holds an S x S
-array, only one scratch strip per worker, reused by each of its row
-blocks and updated in place by every pass. A strip has as many rows as
-_SLAB_BYTES holds at width S, from 64 to 256 (256 up to S = 512, 64 from
-S = 2048), so it takes at most max(_SLAB_BYTES, 64 x S x 8) bytes, the
-ring's own temporaries budget; attention_weights returns the full matrix.
+those of visiting every block.
 
 ring_attention folds each query chunk's live blocks in the ring's order:
 query device dq gets KV partition dk at ring step (dq - dk) mod P, so a
@@ -62,36 +57,38 @@ call: every row folds its blocks in the same order, a max is exact in any
 order, and each block gets the same gemms, the same sums along its rows
 and the same elementwise steps as a lone block.
 
-Both routes fold independent rows on worker threads where numpy's work,
-which runs without the GIL, outweighs the Python between its calls. A
-slab's state rows lie in one row block of _slab_cap query chunks, and row
-blocks share nothing, so group g of G folds row blocks g, g + G, ... on
-its rows of the state, slab by slab in fold order. The ring splits when
-one block's QK^T takes at least _THREADED_BLOCK_MACS multiply-adds (a row
-block is then one query chunk), each group gets two row blocks or more
-and the groups' slabs, one each, fit MAX_WORKING_SET_BYTES together. The
-oracle deals its row strips out the same way while the
-workers' scratch strips fit, together, in the _ORACLE_ROWS x S strip
-that random_problem admits: from S = 1024 with two workers. G is at most
-the CPUs the process may use; the calling thread runs group 0 and a
+Both routes fold independent units on worker threads where numpy's
+work, which runs without the GIL, outweighs the Python between its calls.
+_groups sizes both splits: one group per usable CPU, at most one per
+unit, each holding one unit's scratch at a time, and no more groups than
+the route's budget holds scratches. The oracle's unit is a row strip of
+_oracle_rows(S) rows (as many as _SLAB_BYTES holds at width S, from 64
+to 256 and at most S), its scratch one strip, updated in place by every
+pass, and its budget the _ORACLE_ROWS x S strip random_problem admits,
+so it splits from S = 1024. The ring's unit is a row block of _slab_cap
+query chunks, which shares no state row with another, its scratch one
+slab's temporaries (_SLAB_BYTES or one block) and its budget
+MAX_WORKING_SET_BYTES; it splits only when one block's QK^T takes at
+least _THREADED_BLOCK_MACS multiply-adds (a row block is then one query
+chunk) and each group gets two row blocks or more. Group g of G takes
+units g, g + G, ... in order; the calling thread runs group 0 and a
 per-call pool the rest. Bits cannot move: each query chunk meets the same
 slabs, and each row strip the same passes, as on one thread, and the
 slabs, hence RingTrace, depend on the input alone. Workers call only
 private helpers, so a wrapper around a public function (a tracer's, say)
-sees each call once, on the calling thread.
+sees each call once, on the calling thread. exact_attention never holds
+an S x S array; attention_weights returns one, and weight_strips yields
+its rows in order, one dense strip at a time, from a walk of its own.
 
 Memory is bounded before anything is allocated: random_problem refuses a
-problem whose Q/K/V plus a 256 x S oracle strip, the widest a strip can
-be and the most the oracle's workers hold together, would pass
-MAX_WORKING_SET_BYTES, and RingMesh.validate_for a mesh
-with more than MAX_CLASSIFIED_BLOCKS (query chunk x KV chunk) blocks,
+problem whose Q/K/V plus a 256 x S oracle strip, the oracle's budget,
+would pass MAX_WORKING_SET_BYTES, and RingMesh.validate_for a mesh with
+more than MAX_CLASSIFIED_BLOCKS (query chunk x KV chunk) blocks,
 which bounds the live blocks the ring's schedule lists, or whose one
 block's scores and mask (16 x query_chunk x kv_chunk bytes; a slab holds
 at least one block) would pass MAX_WORKING_SET_BYTES. The mesh's layout
 (positive sizes, P divides S, each chunk size divides S/P) is checked by
-memplan.ChunkPlan, the one place that rule is written. A split ring holds
-one slab's temporaries, _SLAB_BYTES or one block, per group, and splits
-only while those slabs together stay within MAX_WORKING_SET_BYTES.
+memplan.ChunkPlan, the one place that rule is written.
 """
 
 from __future__ import annotations
@@ -99,7 +96,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TextIO
 
 import numpy as np
 
@@ -113,6 +109,7 @@ __all__ = [
     "DospLimits",
     "attention_weights",
     "exact_attention",
+    "weight_strips",
     "blockwise_attention",
     "ring_attention",
     "dosp_limits",
@@ -260,8 +257,8 @@ def _legal_keys(p: AttentionProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _oracle_rows(seq_len: int) -> int:
-    """Query rows per oracle strip: as many as _SLAB_BYTES hold at width S, within [64, 256]."""
-    return min(_ORACLE_ROWS, max(_ORACLE_MIN_ROWS, _SLAB_BYTES // (8 * seq_len)))
+    """Query rows per oracle strip: as many as _SLAB_BYTES hold at width S, within [64, 256], and at most S."""
+    return min(_ORACLE_ROWS, max(_ORACLE_MIN_ROWS, _SLAB_BYTES // (8 * seq_len)), seq_len)
 
 
 def _oracle_blocks(p: AttentionProblem, strips: slice = slice(None)):
@@ -275,7 +272,7 @@ def _oracle_blocks(p: AttentionProblem, strips: slice = slice(None)):
     block, so copy it to keep it.
     """
     lo, hi = _legal_keys(p)
-    rows = min(_oracle_rows(p.seq_len), p.seq_len)
+    rows = _oracle_rows(p.seq_len)
     scratch = np.empty(rows * p.seq_len)
     for start in range(0, p.seq_len, rows)[strips]:
         stop = min(start + rows, p.seq_len)
@@ -312,29 +309,34 @@ def attention_weights(p: AttentionProblem) -> np.ndarray:
     return weights
 
 
-def exact_attention(p: AttentionProblem, weights_csv: TextIO | None = None) -> np.ndarray:
+def weight_strips(p: AttentionProblem):
+    """attention_weights(p) in order, as dense strips of _oracle_rows(S) rows: yields (rows, strip).
+
+    strip is a view of one buffer per call, overwritten by the next strip,
+    so copy it to keep it; no S x S array is ever held.
+    """
+    dense = np.zeros((_oracle_rows(p.seq_len), p.seq_len))
+    for rows, cols, w in _oracle_blocks(p):
+        strip = dense[: w.shape[0]]
+        strip[:, cols] = w
+        yield rows, strip
+        strip[:, cols] = 0.0
+
+
+def exact_attention(p: AttentionProblem) -> np.ndarray:
     """Reference full-precision attention output, (S, d).
 
     Row blocks are independent, so up to one group per usable CPU walks
     every groups-th block, each with its own scratch strip, while those
     strips fit the _ORACLE_ROWS x S that random_problem admits.
-
-    With weights_csv, an open text file, one walk in order also writes
-    attention_weights(p) to it in np.savetxt's format, comma-delimited,
-    one row block at a time, through one dense row buffer per call.
     """
     out = np.empty_like(p.v)
-    dense = None if weights_csv is None else np.zeros((min(_oracle_rows(p.seq_len), p.seq_len), p.seq_len))
-    groups = 1 if dense is not None else _oracle_groups(p.seq_len)
+    height = _oracle_rows(p.seq_len)
+    groups = _groups(-(-p.seq_len // height), height, _ORACLE_ROWS)
 
     def walk(group: int) -> None:
         for rows, cols, w in _oracle_blocks(p, slice(group, None, groups)):
             np.matmul(w, p.v[cols], out=out[rows])
-            if dense is not None:
-                strip = dense[: w.shape[0]]
-                strip[:, cols] = w
-                np.savetxt(weights_csv, strip, delimiter=",")
-                strip[:, cols] = 0.0
 
     _run_groups(walk, groups)
     return out
@@ -441,15 +443,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _groups(units: int) -> int:
-    """Worker groups for units independent pieces of work: one per usable CPU, at most one per unit."""
-    return 1 if units < 2 else min(units, _usable_cpus())
+def _groups(units: int, scratch: int, budget: int) -> int:
+    """Worker groups for units independent pieces of work, each group holding one scratch buffer at a time.
 
-
-def _oracle_groups(seq_len: int) -> int:
-    """Worker groups for the oracle's row blocks: as many as fit one _ORACLE_ROWS x S strip of scratch."""
-    rows = min(_oracle_rows(seq_len), seq_len)
-    return _groups(min(-(-seq_len // rows), _ORACLE_ROWS // rows))
+    One group per usable CPU, at most one per unit, and no more buffers than budget holds.
+    """
+    return max(1, min(units, _usable_cpus(), budget // scratch))
 
 
 def _ring_groups(n_q: int, qc: int, kc: int, d: int) -> int:
@@ -462,7 +461,7 @@ def _ring_groups(n_q: int, qc: int, kc: int, d: int) -> int:
     if qc * kc * d < _THREADED_BLOCK_MACS:
         return 1
     slab = max(_SLAB_BYTES, _block_bytes(qc, kc, d))
-    return _groups(min(-(-n_q // _slab_cap(qc, kc, d)) // 2, MAX_WORKING_SET_BYTES // slab))
+    return _groups(-(-n_q // _slab_cap(qc, kc, d)) // 2, slab, MAX_WORKING_SET_BYTES)
 
 
 def _run_groups(task, groups: int):

@@ -97,11 +97,18 @@ def test_side_order_is_balanced(tmp_path, monkeypatch, seeds, order):
     assert by_side["parent"]["seeds"] == by_side["change"]["seeds"] == [seed for label, seed in order if label == "parent"]
 
 
-@pytest.mark.parametrize("affinity, expected", [({0, 2}, 2), (None, 6)])  # None: the OS keeps no mask
-def test_entries_record_usable_cpus(tmp_path, monkeypatch, capsys, affinity, expected):
+@pytest.mark.parametrize(
+    "affinity, nproc, expected",
+    [
+        pytest.param({0, 2}, 6, 2, id="affinity0-2"),
+        pytest.param(None, 6, 6, id="None-6"),  # None: the OS keeps no mask
+        pytest.param(None, None, 1, id="None-None-1"),  # nor a CPU count: os.cpu_count() returns None
+    ],
+)
+def test_entries_record_usable_cpus(tmp_path, monkeypatch, capsys, affinity, nproc, expected):
     # os.cpu_count() counts CPUs the affinity mask excludes; usable_cpus is the mask's size.
     tool = load_tool()
-    monkeypatch.setattr(tool.os, "cpu_count", lambda: 6)
+    monkeypatch.setattr(tool.os, "cpu_count", lambda: nproc)
     if affinity is None:
         monkeypatch.delattr(tool.os, "sched_getaffinity", raising=False)
     else:
@@ -114,5 +121,5 @@ def test_entries_record_usable_cpus(tmp_path, monkeypatch, capsys, affinity, exp
     out = tmp_path / "BENCH.json"
     assert tool.main(["--side", f"change={tmp_path}", "--seeds", "1", "--out", str(out)]) == 0
     (entry,) = json.loads(out.read_text())["entries"]
-    assert (entry["nproc"], entry["usable_cpus"]) == (6, expected)
-    assert f"usable CPUs {expected} (nproc 6)" in capsys.readouterr().err
+    assert (entry["nproc"], entry["usable_cpus"]) == (nproc, expected)
+    assert f"usable CPUs {expected} (nproc {nproc})" in capsys.readouterr().err

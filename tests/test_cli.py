@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -160,6 +161,26 @@ class TestRingsim:
         expected = tmp_path / "expected.csv"
         np.savetxt(expected, ringsim.attention_weights(problem), delimiter=",")
         assert dump.read_bytes() == expected.read_bytes()
+
+    def test_dump_weights_beside_the_split_oracle(self, capsys, tmp_path):
+        # At S = 1024 the oracle splits into two groups on four CPUs (the ring keeps one);
+        # the dump is its own in-order walk, so stdout and the CSV match the one-CPU run.
+        argv = [
+            "ringsim", "--seq-len", "1024", "--devices", "4", "--q-chunk", "64", "--kv-chunk", "128",
+            "--head-dim", "64", "--seed", "5", "--segments", "300,424,300", "--dump-weights",
+        ]
+        runs = []
+        for n in (1, 4):
+            dump = tmp_path / f"weights_{n}.csv"
+            with (
+                mock.patch.object(ringsim, "_usable_cpus", lambda: n),
+                mock.patch.object(ringsim, "_run_groups", wraps=ringsim._run_groups) as run,
+            ):
+                out = run_cli(capsys, *argv, str(dump)).out
+            runs.append(([c.args[1] for c in run.call_args_list], out, dump.read_bytes()))
+        (one_cpu, *alone), (four_cpus, *split) = runs
+        assert (one_cpu, four_cpus) == ([1, 1], [1, 2])
+        assert split == alone
 
     @pytest.mark.parametrize(
         "seq_len, chunk, bound",

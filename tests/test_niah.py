@@ -80,7 +80,7 @@ class TestGenerate:
 
     def test_payload_occurs_exactly_once(self):
         gen = generate_case(make_case())
-        assert gen.document.count(gen.expected) == 1
+        assert gen.document.count(gen.case.needle_payload) == 1
 
     def test_depth_zero_puts_needle_first(self):
         gen = generate_case(make_case(depth_percent=0.0))
@@ -105,7 +105,7 @@ class TestGenerate:
 
     def test_offset_points_at_needle(self):
         gen = generate_case(make_case(depth_percent=37.0))
-        assert gen.needle == gen.case.needle_template.format(payload=gen.expected)
+        assert gen.needle == gen.case.needle_template.format(payload=gen.case.needle_payload)
         assert gen.document[gen.needle_char_offset : gen.needle_char_offset + len(gen.needle)] == gen.needle
 
     def test_too_small_target_rejected(self):
@@ -247,8 +247,6 @@ def reference_generate_case(case: NiahCase, tokenizer=None):
         case=case,
         document=document,
         needle=needle,
-        question=case.question,
-        expected=case.needle_payload,
         needle_sentence_index=insert_at,
         needle_char_offset=offset,
         estimated_tokens=estimated,
@@ -351,21 +349,21 @@ class TestStubs:
         gen = generate_case(make_case(depth_percent=depth))
         prompt = build_prompt(gen)
         found = niah._first_digit_run(prompt)
-        start = gen.needle_char_offset + gen.needle.index(gen.expected)
-        assert (found.start(), found.group(0)) == (start, gen.expected)
-        assert score(gen.expected, EchoStub().complete(prompt)).verdict is Verdict.EXACT
-        assert score(gen.expected, DropLastDigitStub().complete(prompt)).verdict is Verdict.TRUNCATED
-        assert FixtureClient({gen.expected: "recorded"}).complete(prompt) == "recorded"
+        start = gen.needle_char_offset + gen.needle.index(gen.case.needle_payload)
+        assert (found.start(), found.group(0)) == (start, gen.case.needle_payload)
+        assert score(gen.case.needle_payload, EchoStub().complete(prompt)).verdict is Verdict.EXACT
+        assert score(gen.case.needle_payload, DropLastDigitStub().complete(prompt)).verdict is Verdict.TRUNCATED
+        assert FixtureClient({gen.case.needle_payload: "recorded"}).complete(prompt) == "recorded"
 
     def test_echo_stub_finds_needle(self):
         gen = generate_case(make_case())
         answer = EchoStub().complete(build_prompt(gen))
-        assert score(gen.expected, answer).verdict is Verdict.EXACT
+        assert score(gen.case.needle_payload, answer).verdict is Verdict.EXACT
 
     def test_drop_last_digit_stub(self):
         gen = generate_case(make_case())
         answer = DropLastDigitStub().complete(build_prompt(gen))
-        assert score(gen.expected, answer).verdict is Verdict.TRUNCATED
+        assert score(gen.case.needle_payload, answer).verdict is Verdict.TRUNCATED
 
 
 class TestHaystackBound:
@@ -571,7 +569,7 @@ class TestHttpClient:
         client = HttpCompletionClient(endpoint)
         gen = generate_case(make_case())
         answer = client.complete(build_prompt(gen), max_tokens=32)
-        assert score(gen.expected, answer).verdict is Verdict.EXACT
+        assert score(gen.case.needle_payload, answer).verdict is Verdict.EXACT
 
     def test_grid_over_http(self, endpoint):
         _Endpoint.behavior = "echo"
@@ -584,7 +582,7 @@ class TestHttpClient:
         client = HttpCompletionClient(endpoint, shape=ApiShape(text_path="choices.0.text"))
         gen = generate_case(make_case())
         answer = client.complete(build_prompt(gen))
-        assert score(gen.expected, answer).verdict is Verdict.EXACT
+        assert score(gen.case.needle_payload, answer).verdict is Verdict.EXACT
 
     def test_malformed_response_raises_client_error(self, endpoint):
         _Endpoint.behavior = "malformed"

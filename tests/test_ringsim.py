@@ -75,8 +75,8 @@ def classify_blocks(p: AttentionProblem, query_chunk: int, kv_chunk: int):
 
 
 def oracle_rows(seq_len: int) -> int:
-    """Rows per oracle strip: ringsim._SLAB_BYTES of float64s at width S, clamped to [64, 256]."""
-    return min(256, max(64, ringsim._SLAB_BYTES // (8 * seq_len)))
+    """Rows per oracle strip: ringsim._SLAB_BYTES of float64s at width S, clamped to [64, 256] and to S."""
+    return min(256, max(64, ringsim._SLAB_BYTES // (8 * seq_len)), seq_len)
 
 
 def per_pass_oracle_blocks(p: AttentionProblem, block_rows: int | None = None):
@@ -277,7 +277,7 @@ class TestRowBlockedOracle:
         assert peak <= 8 * 2**20  # 6.1 MiB measured
 
     @pytest.mark.parametrize(
-        "seq_len, rows", [(1, 256), (512, 256), (520, 252), (1024, 128), (2048, 64), (2**17, 64)]
+        "seq_len, rows", [(1, 1), (200, 200), (512, 256), (520, 252), (1024, 128), (2048, 64), (2**17, 64)]
     )
     def test_strip_rows_follow_the_slab_budget(self, seq_len, rows):
         assert ringsim._oracle_rows(seq_len) == oracle_rows(seq_len) == rows
@@ -730,6 +730,15 @@ def cpus(n: int):
     return mock.patch.object(ringsim, "_usable_cpus", lambda: n)
 
 
+def oracle_groups(S: int) -> int:
+    """The worker groups exact_attention takes at S, read from its _run_groups call without walking a strip."""
+    groups = []
+    p = AttentionProblem(q=np.zeros((S, 1)), k=np.zeros((S, 1)), v=np.zeros((S, 1)), segment_ids=np.zeros(S, int))
+    with mock.patch.object(ringsim, "_run_groups", lambda task, n: groups.append(n)):
+        exact_attention(p)
+    return groups[0]
+
+
 def no_pool(*args, **kwargs):
     raise AssertionError("a thread pool was made")
 
@@ -786,7 +795,7 @@ class TestWorkerGroups:
             segment_ids=np.repeat(np.arange(lengths.size), lengths), causal=causal,
         )
         with cpus(n):
-            assert ringsim._oracle_groups(S) == min(n, S // 512)
+            assert oracle_groups(S) == min(n, S // 512)
             split = exact_attention(p)
         with cpus(1):
             walk = exact_attention(p)
@@ -798,7 +807,7 @@ class TestWorkerGroups:
         toolkit = [(128, 4, 4, 8), (256, 4, 8, 8), (192, 2, 8, 12), (256, 8, 4, 16)]
         with cpus(64):
             for S, P, qc, kc in [*criterion3_meshes(), *toolkit]:
-                assert ringsim._oracle_groups(S) == 1
+                assert oracle_groups(S) == 1
                 assert all(ringsim._ring_groups(S // qc, qc, kc, d) == 1 for d in range(2, 33))
 
     def test_large_blocks_split(self):
@@ -807,7 +816,7 @@ class TestWorkerGroups:
         split = 0
         with cpus(2):
             for S, P, qc, kc in ring_long_meshes():
-                assert ringsim._oracle_groups(S) == 2
+                assert oracle_groups(S) == 2
                 for d in (64, 128):
                     big = qc * kc * d >= ringsim._THREADED_BLOCK_MACS
                     assert not big or _slab_cap(qc, kc, d) == 1
@@ -842,7 +851,7 @@ class TestWorkerGroups:
             v=rng.standard_normal((S, d)), segment_ids=np.zeros(S, dtype=np.int64),
         )
         with cpus(64):
-            assert ringsim._oracle_groups(S) == 4
+            assert oracle_groups(S) == 4
             tracemalloc.start()
             try:
                 exact_attention(p)
@@ -889,6 +898,24 @@ class TestWorkerGroups:
             assert ringsim._ring_groups(S // qc, qc, kc, d) == groups
         slab = max(ringsim._SLAB_BYTES, ringsim._block_bytes(qc, kc, d))
         assert groups == 1 or groups * slab <= MAX_WORKING_SET_BYTES
+
+    def test_largest_one_block_mesh_fits_the_working_set_bound(self):
+        # The mesh check admits 4096 x 4096 chunks: their scores and mask take exactly
+        # MAX_WORKING_SET_BYTES. _block_bytes counts the bool mask at 8 bytes a score, so it
+        # reads 256 MiB at d = 1; the ring's measured peak is 176 MiB (180 MiB at d = 128).
+        rng = np.random.default_rng(0)
+        S, d = 4096, 1
+        p = AttentionProblem(
+            q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)),
+            v=rng.standard_normal((S, d)), segment_ids=np.zeros(S, dtype=np.int64),
+        )
+        tracemalloc.start()
+        try:
+            ring_attention(p, RingMesh(1, S, S))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= MAX_WORKING_SET_BYTES  # 176.2 MiB measured
 
 
 class TestSeqLenBound:

@@ -67,11 +67,11 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace:
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else ``os.cpu_count()`` where the OS keeps none."""
+    """CPUs this process may run on: its affinity mask, else ``os.cpu_count()`` where the OS keeps none, else 1."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count()
+        return os.cpu_count() or 1
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
