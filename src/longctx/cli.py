@@ -32,6 +32,9 @@ from . import __version__
 from . import memplan, niah, recipe, ringsim, rope, softnum
 
 SCHEMA_VERSION = recipe.SCHEMA_VERSION
+# ringsim --dump-weights' CSV bound: np.savetxt's %.18e writes a weight in
+# [0, 1] in at most 25 characters, plus one separator, so S <= 3,213.
+MAX_DUMP_BYTES = 1 << 28
 
 
 def _render(out: dict | str | None, no_timestamp: bool) -> tuple[str, ...]:
@@ -116,8 +119,13 @@ def _cmd_ringsim(args) -> dict:
     mesh = ringsim.RingMesh(
         device_count=args.devices, query_chunk=args.q_chunk, kv_chunk=args.kv_chunk
     )
-    # Both size bounds are checked before anything sized by S is allocated.
+    # Every size bound is checked before anything sized by S is allocated.
     mesh.validate_for(args.seq_len)
+    if args.dump_weights and 26 * args.seq_len**2 > MAX_DUMP_BYTES:
+        raise ValueError(
+            f"--dump-weights at seq_len={args.seq_len} writes up to {26 * args.seq_len**2} bytes, "
+            f"more than MAX_DUMP_BYTES={MAX_DUMP_BYTES}"
+        )
     rng = np.random.default_rng(args.seed)
     # One segment draws no cut points, so Q/K/V come from the same stream
     # with or without --segments; replace() re-runs the problem's checks.
@@ -130,8 +138,7 @@ def _cmd_ringsim(args) -> dict:
     reference = ringsim.exact_attention(problem)
     if args.dump_weights:
         with open(args.dump_weights, "w", encoding="utf-8") as fh:
-            for _, strip in ringsim.weight_strips(problem):
-                np.savetxt(fh, strip, delimiter=",")
+            np.savetxt(fh, ringsim.attention_weights(problem), delimiter=",")
     return {
         "command": "ringsim",
         "seq_len": args.seq_len,
@@ -261,6 +268,8 @@ _STUBS = {
 
 def _cmd_niah_grid(args) -> dict | str:
     if args.stub:
+        if args.endpoint is not None or args.api_shape is not None:
+            _PARSER.error("niah-grid --stub takes no --endpoint or --api-shape")
         client = _STUBS[args.stub]()
     else:
         endpoint = args.endpoint or os.environ.get("LONGCTX_ENDPOINT")
@@ -370,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--head-dim", type=int, default=16)
     p.add_argument("--segments", help="comma-separated segment lengths summing to seq-len")
-    p.add_argument("--dump-weights", help="write the oracle weight matrix to this CSV file")
+    p.add_argument("--dump-weights", help="write the oracle weight matrix to this CSV file (S <= 3213)")
 
     p = sub.add_parser("memplan", help="lookup-table memory report for a chunk plan")
     p.set_defaults(func=_cmd_memplan)

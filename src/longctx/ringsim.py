@@ -13,9 +13,6 @@ same output:
                         rotate peer to peer, online-softmax accumulation over
                         query/KV chunks inside each device
 
-blockwise_attention is the one-device ring, so there is a single streaming
-loop.
-
 Online softmax keeps a running max, denominator and numerator per query
 row, rescaling by exp(old_max - new_max) whenever the max moves. That makes
 the result independent of chunk sizes and of the order KV blocks arrive,
@@ -77,8 +74,8 @@ slabs, and each row strip the same passes, as on one thread, and the
 slabs, hence RingTrace, depend on the input alone. Workers call only
 private helpers, so a wrapper around a public function (a tracer's, say)
 sees each call once, on the calling thread. exact_attention never holds
-an S x S array; attention_weights returns one, and weight_strips yields
-its rows in order, one dense strip at a time, from a walk of its own.
+an S x S array; attention_weights returns one, which ringsim --dump-weights
+writes as CSV only for S <= 3,213, while 26 x S x S bytes fit cli.MAX_DUMP_BYTES.
 
 Memory is bounded before anything is allocated: random_problem refuses a
 problem whose Q/K/V plus a 256 x S oracle strip, the oracle's budget,
@@ -109,8 +106,6 @@ __all__ = [
     "DospLimits",
     "attention_weights",
     "exact_attention",
-    "weight_strips",
-    "blockwise_attention",
     "ring_attention",
     "dosp_limits",
     "random_problem",
@@ -309,20 +304,6 @@ def attention_weights(p: AttentionProblem) -> np.ndarray:
     return weights
 
 
-def weight_strips(p: AttentionProblem):
-    """attention_weights(p) in order, as dense strips of _oracle_rows(S) rows: yields (rows, strip).
-
-    strip is a view of one buffer per call, overwritten by the next strip,
-    so copy it to keep it; no S x S array is ever held.
-    """
-    dense = np.zeros((_oracle_rows(p.seq_len), p.seq_len))
-    for rows, cols, w in _oracle_blocks(p):
-        strip = dense[: w.shape[0]]
-        strip[:, cols] = w
-        yield rows, strip
-        strip[:, cols] = 0.0
-
-
 def exact_attention(p: AttentionProblem) -> np.ndarray:
     """Reference full-precision attention output, (S, d).
 
@@ -482,11 +463,6 @@ def _run_groups(task, groups: int):
 def _rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
     """a[index] along axis 0: a view for one index, else a copy (take beats a[index] on int32)."""
     return a[index[0] : index[0] + 1] if index.size == 1 else a.take(index, axis=0)
-
-
-def blockwise_attention(p: AttentionProblem, query_chunk: int, kv_chunk: int) -> np.ndarray:
-    """Streaming attention over query/KV chunks on one device; equals exact_attention."""
-    return ring_attention(p, RingMesh(1, query_chunk, kv_chunk))[0]
 
 
 def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, RingTrace]:

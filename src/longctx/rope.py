@@ -76,20 +76,11 @@ def inverse_frequencies(cfg: RopeConfig) -> np.ndarray:
     return cfg.theta_base ** (-2.0 * i / cfg.head_dim)
 
 
-def rotate(
-    vector: np.ndarray,
-    position: int,
-    cfg: RopeConfig,
-    *,
-    round_angle: bool = False,
-) -> np.ndarray:
+def rotate(vector: np.ndarray, position: int, cfg: RopeConfig) -> np.ndarray:
     """Apply the per-pair rotation for a token at the given position.
 
     The position index is first represented in cfg.precision, then
     multiplied by each pair's inverse frequency; sin/cos run in 64-bit.
-    round_angle additionally pushes the angle products, as one array,
-    through the same precision and the same softnum bit kernel, a second
-    injection point for studying where rounding hurts.
     Raises ValueError on dimension mismatch or position >= max_position,
     since either one signals a misconfigured encoding universe.
     """
@@ -101,8 +92,6 @@ def rotate(
 
     pos = quantize_position(position, cfg.precision)
     angles = pos * inverse_frequencies(cfg)
-    if round_angle:
-        angles = quantize_position(angles, cfg.precision)
     cos, sin = np.cos(angles), np.sin(angles)
 
     out = np.empty_like(v)

@@ -7,31 +7,26 @@ array alike: it casts to 32-bit floats and works on their bit patterns with
 integer operations, so results are identical on every platform and never
 depend on a native half-width dtype.
 
-Only rounding and widening are implemented. That is enough to study how
-coarse the format's integer grid becomes at large magnitudes: every integer
-up to 2**8 is representable exactly, after which each binade [2**k, 2**(k+1))
-holds only 128 grid points.
+Only rounding is implemented. That is enough to study how coarse the
+format's integer grid becomes at large magnitudes: every integer up to 2**8
+is representable exactly, after which each binade [2**k, 2**(k+1)) holds
+only 128 grid points.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "PrecisionMode",
-    "Reduced16",
-    "round_to_reduced16",
-    "widen",
     "round_trip",
     "quantize_position",
     "distinct_integer_census",
 ]
 
-_EXP_MASK = 0x7F80
 _FRAC_MASK = 0x007F
 _QUIET_BIT = 0x0040
 
@@ -41,25 +36,6 @@ class PrecisionMode(Enum):
 
     FULL32 = "full32"
     REDUCED16 = "reduced16"
-
-
-@dataclass(frozen=True)
-class Reduced16:
-    """A value of the 16-bit format, stored as its raw bit pattern."""
-
-    bits: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits <= 0xFFFF:
-            raise ValueError(f"bits out of 16-bit range: {self.bits:#x}")
-
-    @property
-    def is_nan(self) -> bool:
-        return (self.bits & _EXP_MASK) == _EXP_MASK and (self.bits & _FRAC_MASK) != 0
-
-    @property
-    def is_inf(self) -> bool:
-        return (self.bits & _EXP_MASK) == _EXP_MASK and (self.bits & _FRAC_MASK) == 0
 
 
 def _round(x, mode: PrecisionMode):
@@ -83,19 +59,6 @@ def _round(x, mode: PrecisionMode):
         rounded = (u + 0x7FFF + ((u >> 16) & 1)) & 0xFFFF0000
         quiet = np.uint32(_QUIET_BIT << 16) * ((u & (_FRAC_MASK << 16)) == 0)
         return np.where(np.isnan(f), (u & 0xFFFF0000) | quiet, rounded).view(np.float32)
-
-
-def round_to_reduced16(x: float) -> Reduced16:
-    """Round a value to the nearest 16-bit value, ties to even.
-
-    Overflow maps to infinity of matching sign; NaN stays NaN. See _round.
-    """
-    return Reduced16(int(_round(float(x), PrecisionMode.REDUCED16).view(np.uint32)) >> 16)
-
-
-def widen(v: Reduced16) -> float:
-    """Exact embedding of a 16-bit value into a wider float. No rounding."""
-    return float(np.uint32(v.bits << 16).view(np.float32))
 
 
 def round_trip(x: float | np.ndarray) -> float | np.ndarray:

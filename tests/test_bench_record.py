@@ -33,24 +33,45 @@ def entry(side, values):
     return {"side": side, "workload": "w", "metric": "m", "median": median, "iqr": q3 - q1, "values": values}
 
 
+PARENT = list(range(20, 30))  # median 24.5, IQR 4.5: a spread inside the 25% bound
+
+
 @pytest.mark.parametrize(
     "better, change, verdict",
     [
-        ("lower", [v * 1.3 for v in range(10, 20)], "; regressed"),  # 30% worse, past the 25% bound
-        ("lower", [v * 1.2 for v in range(10, 20)], ""),  # 20% worse: inside the bound
-        ("higher", [v * 0.7 for v in range(10, 20)], "; regressed"),
-        ("higher", [v * 1.4 for v in range(10, 20)], "; gain rule met"),  # 10 of 10, 5.8 > IQR 4.5
-        ("higher", [v + 4 for v in range(10, 20)], ""),  # 10 of 10, but 4 < IQR 4.5
-        ("higher", [5] + [v + 6 for v in range(11, 20)], "; gain rule met"),  # 9 of 10 is enough
-        ("higher", [5, 5] + [v + 6 for v in range(12, 20)], ""),  # 8 of 10 is not
+        ("lower", [v * 1.3 for v in PARENT], "; regressed"),  # 30% worse, past the 25% bound
+        ("lower", [v * 1.2 for v in PARENT], ""),  # 20% worse: inside the bound
+        ("higher", [v * 0.7 for v in PARENT], "; regressed"),
+        ("higher", [v * 1.4 for v in PARENT], "; gain rule met"),  # 10 of 10, 9.8 > IQR 4.5
+        ("higher", [v + 4 for v in PARENT], ""),  # 10 of 10, but 4 < IQR 4.5
+        ("higher", [5] + [v + 6 for v in PARENT[1:]], "; gain rule met"),  # 9 of 10 is enough
+        ("higher", [5, 5] + [v + 6 for v in PARENT[2:]], ""),  # 8 of 10 is not
     ],
 )
 def test_pairwise_summary_verdicts(better, change, verdict):
-    parent = list(range(10, 20))  # median 14.5, IQR 4.5
-    entries = [entry("parent", parent), entry("change", change)]
+    entries = [entry("parent", PARENT), entry("change", change)]
     metric = {"name": "m", "better": better, "bound": 0.25}
     (line,) = load_tool().pairwise_summary(entries, [metric])
-    assert line.startswith("w m: parent 14.5 (IQR 4.5), change ")
+    assert line.startswith("w m: parent 24.5 (IQR 4.5), change ")
+    assert line.endswith(" seeds" + verdict)
+
+
+@pytest.mark.parametrize(
+    "parent, better, change, verdict",
+    [
+        (range(10, 20), "higher", range(10, 20), "; unresolved"),  # IQR 4.5 > 0.25 x median 14.5
+        (range(10, 20), "lower", [v * 1.3 for v in range(10, 20)], "; regressed; unresolved"),
+        (range(10, 20), "higher", [v + 10 for v in range(10, 20)], "; gain rule met"),  # every run beats every run
+        (range(10, 20), "lower", [v - 9.5 for v in range(10, 20)], "; gain rule met"),  # lower: 9.5 < every parent run
+        (range(10, 20), "higher", [19] + [v + 10 for v in range(11, 20)], "; unresolved; gain rule met"),  # 19 ties
+        ([10, 12, 14, 14, 17.5, 18.5, 18.5, 18.5, 22, 24], "higher", range(14, 24), ""),  # IQR 4.5 = 0.25 x 18
+    ],
+)
+def test_pairwise_summary_unresolved(parent, better, change, verdict):
+    # A parent spread wider than the bound cannot tell a change from noise, unless every change run wins.
+    entries = [entry("parent", list(parent)), entry("change", list(change))]
+    metric = {"name": "m", "better": better, "bound": 0.25}
+    (line,) = load_tool().pairwise_summary(entries, [metric])
     assert line.endswith(" seeds" + verdict)
 
 

@@ -182,6 +182,24 @@ class TestRingsim:
         assert (one_cpu, four_cpus) == ([1, 1], [1, 2])
         assert split == alone
 
+    @pytest.mark.parametrize("seq_len, chunk", [(4096, 64), (3214, 1607)])
+    def test_dump_past_its_byte_bound_fails_before_allocating(self, capsys, tmp_path, seq_len, chunk):
+        # 26 * S^2 bytes pass MAX_DUMP_BYTES from S = 3214 on; the refusal comes before random_problem.
+        dump = tmp_path / "weights.csv"
+        tracemalloc.start()
+        try:
+            error = run_domain_error(
+                capsys,
+                "ringsim", "--seq-len", str(seq_len), "--devices", "1",
+                "--q-chunk", str(chunk), "--kv-chunk", str(chunk), "--dump-weights", str(dump),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert error["type"] == "ValueError" and "268435456" in error["message"]
+        assert not dump.exists()
+        assert peak < 2**20
+
     @pytest.mark.parametrize(
         "seq_len, chunk, bound",
         [
@@ -421,6 +439,17 @@ class TestNiah:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         check_schema("error", json.loads(captured.err))
+
+    @pytest.mark.parametrize(
+        "flags", [("--endpoint", "http://127.0.0.1:9/complete"), ("--api-shape", "/nonexistent")]
+    )
+    def test_grid_stub_with_endpoint_flags_is_usage_error(self, capsys, flags):
+        # A stub sends nothing, so an endpoint or API shape beside it would be silently ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            dispatch(["--no-timestamp", "niah-grid", "--lengths", "600", "--depths", "50",
+                      "--stub", "echo", *flags])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == "" and "usage:" in captured.err
 
     def test_grid_unknown_metric_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -30,7 +30,6 @@ from longctx.ringsim import (
     _live_ranges,
     _slab_cap,
     attention_weights,
-    blockwise_attention,
     dosp_limits,
     exact_attention,
     random_problem,
@@ -72,6 +71,11 @@ def classify_blocks(p: AttentionProblem, query_chunk: int, kv_chunk: int):
     lo, hi, flo, fhi = (a[:, None] for a in _live_ranges(*_legal_keys(p), query_chunk, kv_chunk))
     k = np.arange(p.seq_len // kv_chunk)
     return (lo <= k) & (k < hi), (flo <= k) & (k < fhi)
+
+
+def blockwise_attention(p: AttentionProblem, query_chunk: int, kv_chunk: int) -> np.ndarray:
+    """Streaming attention over query/KV chunks on one device: the one-device ring."""
+    return ring_attention(p, RingMesh(1, query_chunk, kv_chunk))[0]
 
 
 def oracle_rows(seq_len: int) -> int:

@@ -26,7 +26,6 @@ from longctx.rope import (
     theta_lower_bound,
 )
 from longctx.softnum import PrecisionMode, round_trip
-from test_softnum import as_f32, oracle_round
 
 
 def cfg(theta=10000.0, d=8, L=1 << 20, precision=PrecisionMode.FULL32):
@@ -131,30 +130,6 @@ class TestRotate:
         c = cfg(theta=75e6, d=64, precision=PrecisionMode.FULL32)
         v = np.random.default_rng(6).standard_normal(64)
         assert not np.array_equal(rotate(v, 300000, c), rotate(v, 300001, c))
-
-    def test_angle_rounding_injection_point(self):
-        c = cfg(theta=1e4, d=8, precision=PrecisionMode.REDUCED16)
-        v = np.random.default_rng(7).standard_normal(8)
-        plain = rotate(v, 12345, c)
-        coarse = rotate(v, 12345, c, round_angle=True)
-        assert plain.shape == coarse.shape
-        assert not np.array_equal(plain, coarse)
-
-    @pytest.mark.parametrize("precision", list(PrecisionMode))
-    def test_angle_rounding_matches_per_angle_reference(self, precision):
-        round_one = oracle_round if precision is PrecisionMode.REDUCED16 else as_f32
-        c = cfg(theta=75e6, d=16, L=1 << 21, precision=precision)
-        rng = np.random.default_rng(29)
-        for _ in range(25):
-            v = rng.standard_normal(16)
-            p = int(rng.integers(0, 1 << 21))
-            pos = round_one(float(p))
-            angles = np.array([round_one(pos * f) for f in inverse_frequencies(c)])
-            cos, sin = np.cos(angles), np.sin(angles)
-            want = np.empty(16)
-            want[0::2] = v[0::2] * cos - v[1::2] * sin
-            want[1::2] = v[0::2] * sin + v[1::2] * cos
-            assert np.array_equal(rotate(v, p, c, round_angle=True), want), p
 
 
 class TestRelativeScore:

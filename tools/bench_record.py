@@ -31,8 +31,10 @@ later side's median, their ratio, and in how many seeds (runs, for a
 single seed) the later side did better, in the direction ``BENCHMARK.json`` calls better (a tie is not a
 win). The line ends in ``regressed`` when the later median is worse than
 the first by more than the metric's ``bound`` (a fraction of the first
-median), and in ``gain rule met`` when, over at least ten seeds, the
-later side did better in at least 9 of 10 and its median is better by
+median), in ``unresolved`` when the first side's IQR is wider than that
+bound, so its runs spread too far to tell, unless every later run beats
+every first run, and in ``gain rule met`` when, over at least ten seeds,
+the later side did better in at least 9 of 10 and its median is better by
 more than the first side's IQR.
 """
 
@@ -149,6 +151,9 @@ def pairwise_summary(entries: list[dict], end_to_end: list[dict]) -> list[str]:
                 verdicts = []
                 if -gain > metric["bound"] * abs(base["median"]):
                     verdicts.append("regressed")
+                wide = base["iqr"] > metric["bound"] * abs(base["median"])
+                if wide and not all(sign * (b - a) > 0 for a in base["values"] for b in other["values"]):
+                    verdicts.append("unresolved")
                 if n >= 10 and 10 * wins >= 9 * n and gain > base["iqr"]:
                     verdicts.append("gain rule met")
                 lines.append(
