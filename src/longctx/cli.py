@@ -11,10 +11,11 @@ what it prints and never touches stdout: a dict for a JSON document, a str
 for CSV or manifest text, or None when it wrote to a file. dispatch makes
 the one write, through _render. A tuple value in a returned dict holds
 pieces of JSON string content, written verbatim: niah-gen's inline document
-(megabytes) is never passed to json.dumps, since its filler is JSON-plain by
-niah's invariant and only the needle needs escaping. Handlers raise on bad
-input, and the one except clause in dispatch turns every domain error,
-including one raised while writing, into the JSON error object and exit 1.
+(megabytes) is one piece, never passed to json.dumps, since its filler is
+JSON-plain by niah's invariant and so is the default needle around an
+ASCII-digit payload. Handlers raise on bad input, and the one except clause
+in dispatch turns every domain error, including one raised while writing,
+into the JSON error object and exit 1.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ SCHEMA_VERSION = recipe.SCHEMA_VERSION
 # ringsim --dump-weights' CSV bound: np.savetxt's %.18e writes a weight in
 # [0, 1] in at most 25 characters, plus one separator, so S <= 3,213.
 MAX_DUMP_BYTES = 1 << 28
+# ringsim prints P^2 schedule entries, about 1 KiB of peak memory each on the way out.
+MAX_SCHEDULE_DEVICES = 512
 
 
 def _render(out: dict | str | None, no_timestamp: bool) -> tuple[str, ...]:
@@ -121,6 +124,8 @@ def _cmd_ringsim(args) -> dict:
     )
     # Every size bound is checked before anything sized by S is allocated.
     mesh.validate_for(args.seq_len)
+    if args.devices > MAX_SCHEDULE_DEVICES:
+        raise ValueError(f"devices={args.devices} is more than MAX_SCHEDULE_DEVICES={MAX_SCHEDULE_DEVICES}")
     if args.dump_weights and 26 * args.seq_len**2 > MAX_DUMP_BYTES:
         raise ValueError(
             f"--dump-weights at seq_len={args.seq_len} writes up to {26 * args.seq_len**2} bytes, "
@@ -238,9 +243,7 @@ def _cmd_niah_gen(args) -> dict:
             fh.write(gen.document)
         doc["document_file"] = args.out
     else:
-        # The filler is JSON-plain, so only the needle needs escaping.
-        start, end = gen.needle_char_offset, gen.needle_char_offset + len(gen.needle)
-        doc["document"] = (gen.document[:start], json.dumps(gen.needle)[1:-1], gen.document[end:])
+        doc["document"] = (gen.document,)
     return doc
 
 
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ringsim", help="ring attention vs oracle on a random problem")
     p.set_defaults(func=_cmd_ringsim)
     p.add_argument("--seq-len", type=int, required=True)
-    p.add_argument("--devices", type=int, required=True)
+    p.add_argument("--devices", type=int, required=True, help=f"ring size, 1 to {MAX_SCHEDULE_DEVICES}")
     p.add_argument("--q-chunk", type=int, required=True)
     p.add_argument("--kv-chunk", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "ELEMENT_BYTES",
+    "MAX_SEARCH_SEQ_LEN",
     "ChunkPlan",
     "MemoryReport",
     "SearchConstraints",
@@ -38,6 +39,8 @@ __all__ = [
 
 # The mapping table is an int32 tensor; fixed, not a tuning knob.
 ELEMENT_BYTES = 4
+# Longest sequence search_chunk_plan takes: its divisor scan runs to sqrt(S/P), 2^20 steps here.
+MAX_SEARCH_SEQ_LEN = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,8 @@ def search_chunk_plan(
     bytes fall as kv_chunk grows, so for each q_chunk a bisection over the
     kv_chunk candidates finds the smallest one that fits.
     """
+    if seq_len > MAX_SEARCH_SEQ_LEN:
+        raise ValueError(f"seq_len={seq_len} is more than MAX_SEARCH_SEQ_LEN={MAX_SEARCH_SEQ_LEN}")
     if budget_bytes <= 0:
         raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
     ChunkPlan(devices, seq_len, 1, 1)  # checks the device layout before any search

@@ -6,13 +6,13 @@ distinguishes exact recall, truncated recall (a long leading prefix of the
 payload, the signature of position-precision faults), wrong answers, and
 empty answers.
 
-Filler text ships with the package and contains no digits, so the payload
-occurs exactly once in every generated document and any digits a model
-returns came from its answer, not the haystack. Filler is also JSON-plain
-(printable ASCII with no quote or backslash), so ``json.dumps`` writes a
-document verbatim everywhere but in its needle. Token counts use a
-whitespace-word * 1.3 approximation by default; pass a tokenizer callable
-(text -> token count) to size documents against a real vocabulary.
+Filler text ships with the package and contains no digits, and a needle
+template holds one ``{payload}`` placeholder and no other digit, so the
+payload occurs exactly once in the document of every accepted case and any
+digits a model returns came from its answer, not the haystack. Filler is
+also JSON-plain (printable ASCII with no quote or backslash), so
+``json.dumps`` writes a document verbatim everywhere but in its needle.
+Token counts are whitespace words * 1.3.
 
 Clients are duck-typed: anything with
 ``complete(prompt, max_tokens, temperature) -> str`` works. An HTTP client
@@ -70,6 +70,9 @@ MAX_HAYSTACK_TOKENS = 1 << 24
 # holds one document and its prompt, so 16 of them at MAX_HAYSTACK_TOKENS
 # is about 2.3 GB.
 MAX_CONCURRENCY = 16
+# A grid call is tried this many times in all, sleeping 0.5 s, then 1 s, between tries.
+_ATTEMPTS = 3
+_BACKOFF_S = 0.5
 
 DEFAULT_NEEDLE_TEMPLATE = (
     "The special magic number mentioned in the harbor records is {payload}."
@@ -125,15 +128,14 @@ class NiahCase:
             raise ValueError(f"depth_percent must be in [0, 100], got {self.depth_percent}")
         if not (self.needle_payload.isascii() and self.needle_payload.isdigit()):
             raise ValueError("needle_payload must be a nonempty string of ASCII digits")
-        if "{payload}" not in self.needle_template:
-            raise ValueError("needle_template must contain a {payload} placeholder")
+        if self.needle_template.count("{payload}") != 1 or _DIGIT_RUN.search(self.needle_template):
+            raise ValueError("needle_template must contain one {payload} placeholder and no other digit")
 
 
 @dataclass(frozen=True)
 class GeneratedCase:
     case: NiahCase
     document: str
-    needle: str  # the formatted needle, at needle_char_offset in document
     needle_sentence_index: int
     needle_char_offset: int
     estimated_tokens: float
@@ -145,10 +147,8 @@ class NiahResult:
     matched_prefix_len: int
 
 
-def estimate_tokens(text: str, tokenizer=None) -> float:
-    """Approximate token count; tokenizer is a callable text -> int."""
-    if tokenizer is not None:
-        return float(tokenizer(text))
+def estimate_tokens(text: str) -> float:
+    """Approximate token count: whitespace words times TOKENS_PER_WORD."""
     return len(text.split()) * TOKENS_PER_WORD
 
 
@@ -168,7 +168,7 @@ def _filler_tables() -> tuple[np.ndarray, ...]:
     return np.array(pool, dtype=object), words * TOKENS_PER_WORD, words, np.array(list(map(len, pool)))
 
 
-def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
+def generate_case(case: NiahCase) -> GeneratedCase:
     """Build the haystack document for a case, deterministically from its seed.
 
     Filler sentences are drawn with a seeded generator until the document
@@ -180,13 +180,13 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
 
     Picks are drawn in blocks; the generator's stream is the same as one
     draw per sentence, and a sequential cumulative sum from the running
-    total reproduces the one-at-a-time float sums bit for bit. Without a
-    tokenizer the estimate is the word count of the parts times
-    TOKENS_PER_WORD, which equals splitting the joined document.
+    total reproduces the one-at-a-time float sums bit for bit. The estimate
+    is the word count of the parts times TOKENS_PER_WORD, which equals
+    splitting the joined document.
     """
     needle = case.needle_template.format(payload=case.needle_payload)
-    needle_cost = estimate_tokens(needle, tokenizer)
-    question_cost = estimate_tokens(case.question, tokenizer)
+    needle_cost = estimate_tokens(needle)
+    question_cost = estimate_tokens(case.question)
     if case.haystack_tokens < needle_cost + question_cost:
         raise ValueError(
             f"haystack_tokens={case.haystack_tokens} cannot hold needle plus question "
@@ -194,12 +194,9 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
         )
 
     pool = filler_sentences()
+    # Every pool sentence holds a word, so every cost is at least TOKENS_PER_WORD.
     sentences, costs, pool_words, pool_chars = _filler_tables()
-    if tokenizer is not None:
-        costs = np.array([estimate_tokens(s, tokenizer) for s in pool])
-    if not (costs > 0).any():
-        raise ValueError("no filler sentence has a positive token cost, so the haystack cannot grow")
-    mean_cost = costs[costs > 0].mean()
+    mean_cost = costs.mean()
     budget = case.haystack_tokens - needle_cost
 
     rng = np.random.default_rng(case.seed)
@@ -228,11 +225,10 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
     for word in spare:
         if total >= 0.98 * budget:
             break
-        word_cost = estimate_tokens(word, tokenizer)
-        if total + word_cost > budget:
+        if total + TOKENS_PER_WORD > budget:
             break
         pad.append(word)
-        total += word_cost
+        total += TOKENS_PER_WORD
     if pad:
         chosen.append(" ".join(pad) + ".")
 
@@ -242,20 +238,14 @@ def generate_case(case: NiahCase, tokenizer=None) -> GeneratedCase:
     if insert_at > drawn.size:
         offset += len(chosen[-1])
     chosen.insert(insert_at, needle)
-    document = " ".join(chosen)
-    if tokenizer is None:
-        # str.split is additive over " ".join, so this is len(document.split()).
-        words = int(pool_words[drawn].sum()) + len(pad) + len(needle.split())
-        estimated = words * TOKENS_PER_WORD
-    else:
-        estimated = estimate_tokens(document, tokenizer)
+    # str.split is additive over " ".join, so this is len(document.split()).
+    words = int(pool_words[drawn].sum()) + len(pad) + len(needle.split())
     return GeneratedCase(
         case=case,
-        document=document,
-        needle=needle,
+        document=" ".join(chosen),
         needle_sentence_index=insert_at,
         needle_char_offset=offset,
-        estimated_tokens=estimated,
+        estimated_tokens=words * TOKENS_PER_WORD,
     )
 
 
@@ -449,20 +439,21 @@ class GridResult:
     details: tuple[dict, ...]
 
 
-def _payload_for(rng: np.random.Generator, digits: int = 7) -> str:
+def _payload_for(rng: np.random.Generator) -> str:
+    """A 7-digit payload with no leading zero."""
     first = str(rng.integers(1, 10))
-    rest = "".join(str(rng.integers(0, 10)) for _ in range(digits - 1))
+    rest = "".join(str(rng.integers(0, 10)) for _ in range(6))
     return first + rest
 
 
-def _call_with_retries(client, prompt, max_tokens, attempts, backoff):
-    for attempt in range(attempts):
+def _call_with_retries(client, prompt, max_tokens):
+    for attempt in range(_ATTEMPTS):
         try:
             return client.complete(prompt, max_tokens=max_tokens, temperature=0.0)
         except Exception as exc:  # noqa: BLE001 - any client failure is retryable
-            if attempt == attempts - 1:
-                raise ClientError(f"failed after {attempts} attempts: {exc}") from exc
-            time.sleep(backoff * 2**attempt)
+            if attempt == _ATTEMPTS - 1:
+                raise ClientError(f"failed after {_ATTEMPTS} attempts: {exc}") from exc
+            time.sleep(_BACKOFF_S * 2**attempt)
 
 
 def _windowed_map(pool, fn, items, window: int):
@@ -488,17 +479,14 @@ def run_grid(
     *,
     base_seed: int = 0,
     max_tokens: int = 64,
-    attempts: int = 3,
-    backoff: float = 0.5,
     max_concurrency: int = 1,
-    tokenizer=None,
 ) -> GridResult:
     """Run every (length, depth, trial) cell and tally verdict rates.
 
     Payloads and case seeds derive from (base_seed, length index, depth
     index, trial), so reruns are reproducible and independent of execution
-    order. A trial whose client fails all attempts is recorded under the
-    "error" count for its cell; the grid always completes.
+    order. A trial whose client fails all _ATTEMPTS tries is recorded under
+    the "error" count for its cell; the grid always completes.
     """
     lengths = tuple(int(x) for x in lengths)
     depths = tuple(float(x) for x in depths)
@@ -526,7 +514,7 @@ def run_grid(
             needle_payload=_payload_for(rng),
             seed=int(rng.integers(0, 2**31)),
         )
-        gen = generate_case(case, tokenizer)
+        gen = generate_case(case)
         cell = li * len(depths) + di
         record = {
             "haystack_tokens": lengths[li],
@@ -535,9 +523,7 @@ def run_grid(
             "expected": case.needle_payload,
         }
         try:
-            answer = _call_with_retries(
-                client, build_prompt(gen), max_tokens, attempts, backoff
-            )
+            answer = _call_with_retries(client, build_prompt(gen), max_tokens)
         except ClientError as exc:
             return cell, "error", {**record, "error": str(exc)}
         result = score(case.needle_payload, answer)

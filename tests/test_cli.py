@@ -223,6 +223,15 @@ class TestRingsim:
         assert str(getattr(ringsim, bound)) in error["message"]
         assert peak < 2**20
 
+    def test_devices_past_the_schedule_bound_fail_before_drawing(self, capsys):
+        # The mesh is valid (1026 / 513 = 2 tokens per device), but its 513^2 schedule entries are refused.
+        ringsim.RingMesh(513, 2, 2).validate_for(1026)
+        with mock.patch.object(ringsim, "random_problem", side_effect=AssertionError("a problem was drawn")):
+            error = run_domain_error(
+                capsys, "ringsim", "--seq-len", "1026", "--devices", "513", "--q-chunk", "2", "--kv-chunk", "2"
+            )
+        assert error["type"] == "ValueError" and "MAX_SCHEDULE_DEVICES=512" in error["message"]
+
 
 class TestMemplan:
     def test_reference_configuration(self, capsys):
@@ -300,6 +309,14 @@ class TestMemplan:
             capsys, "memplan-search", "--seq-len", "8", "--budget", "10000", *flags
         )
         assert error["type"] == "ValueError"
+
+    @pytest.mark.parametrize("seq_len", [2**40 + 1, 10**30])
+    def test_search_past_the_seq_len_bound_is_domain_error(self, capsys, seq_len):
+        # Refused before the divisor scan, which would take about 100 s at 10^18 and never end at 10^30.
+        error = run_domain_error(
+            capsys, "memplan-search", "--devices", "1", "--seq-len", str(seq_len), "--budget", "1"
+        )
+        assert error["type"] == "ValueError" and "MAX_SEARCH_SEQ_LEN=1099511627776" in error["message"]
 
     def test_indivisible_chunks_is_domain_error(self, capsys):
         code = dispatch(

@@ -7,13 +7,14 @@ contract too. A JSON document on stdout at exit 0 is strict JSON, with no
 NaN or Infinity, and valid against its subcommand's bundled schema.
 
 Values come from a fixed pool of small, malformed, non-finite,
-non-ASCII-digit and beyond-float inputs. Flags that size the work (tokens, grid cells,
-threads) draw only values up to 64, or a value just beyond the flag's
-size bound, which every argv rejects before allocating anything, so no
-example allocates by size. No argv carries --endpoint and
-LONGCTX_ENDPOINT is unset, so nothing is sent; flags that name a file to
-write are left out. recipe --file also draws the golden manifest and
-copies of it that break the manifest schema in one field.
+non-ASCII-digit and beyond-float inputs. Flags that size the work (tokens,
+grid cells, threads, ring devices, searched lengths) draw only values up to
+64, or a value just beyond the flag's size bound, which every argv rejects
+before allocating anything, so no example allocates by size. No argv
+carries --endpoint and LONGCTX_ENDPOINT is unset, so nothing is sent;
+flags that name a file to write are left out. recipe --file also draws the
+golden manifest and copies of it that break the manifest schema in one
+field.
 """
 
 import contextlib
@@ -29,7 +30,8 @@ from unittest import mock
 import jsonschema
 from hypothesis import given, settings, strategies as st
 
-from longctx.cli import dispatch
+from longctx.cli import MAX_SCHEDULE_DEVICES, dispatch
+from longctx.memplan import MAX_SEARCH_SEQ_LEN
 from longctx.niah import MAX_CONCURRENCY, MAX_HAYSTACK_TOKENS
 from longctx.rope import MAX_HEAD_DIM
 
@@ -45,6 +47,8 @@ FLAG = None  # a store_true flag takes no value
 # Just beyond a size bound. 2**17 tokens of Q/K/V plus one oracle strip pass
 # ringsim's MAX_WORKING_SET_BYTES at any head_dim >= 1, whatever the mesh.
 SEQ_LEN = st.sampled_from(SMALL + (str(2**17),))
+SEARCH_SEQ_LEN = st.sampled_from(SMALL + (str(MAX_SEARCH_SEQ_LEN + 1),))
+DEVICES = st.sampled_from(POOL + (str(2 * MAX_SCHEDULE_DEVICES),))
 TOKENS = st.sampled_from(SMALL + (str(MAX_HAYSTACK_TOKENS + 1),))
 HEAD_DIM = st.sampled_from(POOL + (str(MAX_HEAD_DIM + 1), str(MAX_HEAD_DIM + 2)))
 
@@ -92,7 +96,7 @@ COMMANDS = {
         {"--head-dim": HEAD_DIM},
     ),
     "ringsim": (
-        {"--seq-len": SEQ_LEN, "--devices": ANY, "--q-chunk": ANY, "--kv-chunk": ANY},
+        {"--seq-len": SEQ_LEN, "--devices": DEVICES, "--q-chunk": ANY, "--kv-chunk": ANY},
         {"--seed": ANY, "--head-dim": SIZE, "--segments": ANY},
     ),
     "memplan": (
@@ -100,7 +104,7 @@ COMMANDS = {
         {"--budget": ANY, "--extra-term": st.builds("a={}".format, ANY) | ANY},
     ),
     "memplan-search": (
-        {"--devices": ANY, "--seq-len": SIZE, "--budget": ANY},
+        {"--devices": ANY, "--seq-len": SEARCH_SEQ_LEN, "--budget": ANY},
         {
             "--min-q-chunk": ANY,
             "--min-kv-chunk": ANY,

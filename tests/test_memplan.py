@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from longctx.memplan import (
+    MAX_SEARCH_SEQ_LEN,
     ChunkPlan,
     SearchConstraints,
     lookup_table_bytes,
@@ -188,6 +189,11 @@ class TestSearch:
 
     def test_hopeless_budget_returns_none(self):
         assert search_chunk_plan(8, 524_288, 1) is None
+
+    def test_seq_len_bound(self):
+        assert search_chunk_plan(1, MAX_SEARCH_SEQ_LEN, 1) is None
+        with pytest.raises(ValueError, match="MAX_SEARCH_SEQ_LEN"):
+            search_chunk_plan(1, MAX_SEARCH_SEQ_LEN + 1, 1)
 
     def test_result_is_minimal_at_small_scale(self):
         for budget in (4_000, 40_000, 400_000):

@@ -135,6 +135,13 @@ class TestProblemValidation:
                 segment_ids=np.array([0, 1, 0, 1]),
             )
 
+    def test_segment_ids_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match=r"segment_ids has shape \(3,\), expected \(4,\)"):
+            AttentionProblem(
+                q=np.zeros((4, 2)), k=np.zeros((4, 2)), v=np.zeros((4, 2)),
+                segment_ids=np.zeros(3, dtype=int),
+            )
+
     def test_negative_segments_rejected(self):
         with pytest.raises(ValueError):
             AttentionProblem(
@@ -344,7 +351,7 @@ class TestRing:
         p = two_segment_problem(32, 4, seed=10)
         mesh = RingMesh(device_count=1, query_chunk=8, kv_chunk=16)
         out, trace = ring_attention(p, mesh)
-        assert np.array_equal(out, blockwise_attention(p, 8, 16))
+        assert np.array_equal(out, per_block_ring(p, mesh))
         assert trace.transfers == 0
 
     def test_four_devices_match_oracle(self):
