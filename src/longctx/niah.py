@@ -7,10 +7,10 @@ payload, the signature of position-precision faults), wrong answers, and
 empty answers.
 
 Filler text ships with the package and contains no digits, and a needle
-template holds one ``{payload}`` placeholder and no other digit, so the
-payload occurs exactly once in the document of every accepted case and any
-digits a model returns came from its answer, not the haystack. Filler is
-also JSON-plain (printable ASCII with no quote or backslash), so
+template holds one ``{payload}`` placeholder and no other digit or brace,
+so the payload occurs exactly once in the document of every accepted case
+and any digits a model returns came from its answer, not the haystack.
+Filler is also JSON-plain (printable ASCII with no quote or backslash), so
 ``json.dumps`` writes a document verbatim everywhere but in its needle.
 Token counts are whitespace words * 1.3.
 
@@ -128,8 +128,9 @@ class NiahCase:
             raise ValueError(f"depth_percent must be in [0, 100], got {self.depth_percent}")
         if not (self.needle_payload.isascii() and self.needle_payload.isdigit()):
             raise ValueError("needle_payload must be a nonempty string of ASCII digits")
-        if self.needle_template.count("{payload}") != 1 or _DIGIT_RUN.search(self.needle_template):
-            raise ValueError("needle_template must contain one {payload} placeholder and no other digit")
+        rest = self.needle_template.replace("{payload}", "", 1)
+        if "{payload}" not in self.needle_template or re.search(r"[0-9{}]", rest):
+            raise ValueError("needle_template must contain one {payload} placeholder and no other digit or brace")
 
 
 @dataclass(frozen=True)

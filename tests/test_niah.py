@@ -129,12 +129,19 @@ class TestGenerate:
         with pytest.raises(ValueError, match="placeholder"):
             make_case(needle_template="The magic number is here.")
 
-    # Either would put a second digit run in the document: EchoStub would answer
-    # 2024, and score would read a correctly planted needle as wrong.
+    # Each would break "the payload occurs exactly once": with 2024 in the needle
+    # EchoStub answers 2024 and score reads a correctly planted needle as wrong,
+    # and {{payload}} formats to a literal placeholder, leaving no payload at all.
     @pytest.mark.parametrize(
-        "template", ["The magic number is {payload}, again {payload}.", "In 2024 the magic number was {payload}."]
+        "template",
+        [
+            "The magic number is {payload}, again {payload}.",
+            "In 2024 the magic number was {payload}.",
+            "The magic number is {{payload}}.",
+            "The {kind} number is {payload}.",
+        ],
     )
-    def test_template_with_a_second_number_rejected(self, template):
+    def test_template_that_breaks_the_payload_invariant_rejected(self, template):
         with pytest.raises(ValueError, match="placeholder"):
             make_case(needle_template=template)
 
