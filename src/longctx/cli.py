@@ -11,11 +11,10 @@ what it prints and never touches stdout: a dict for a JSON document, a str
 for CSV or manifest text, or None when it wrote to a file. dispatch makes
 the one write, through _render. A tuple value in a returned dict holds
 pieces of JSON string content, written verbatim: niah-gen's inline document
-(megabytes) is one piece, never passed to json.dumps, since its filler is
-JSON-plain by niah's invariant and so is the default needle around an
-ASCII-digit payload. Handlers raise on bad input, and the one except clause
-in dispatch turns every domain error, including one raised while writing,
-into the JSON error object and exit 1.
+(megabytes) is one piece, never passed to json.dumps, since every niah
+document is JSON-plain. Handlers raise on bad input, and the one except
+clause in dispatch turns every domain error, including one raised while
+writing, into the JSON error object and exit 1.
 """
 
 from __future__ import annotations
@@ -236,7 +235,7 @@ def _cmd_niah_gen(args) -> dict:
         "needle_sentence_index": gen.needle_sentence_index,
         "needle_char_offset": gen.needle_char_offset,
         "estimated_tokens": gen.estimated_tokens,
-        "question": case.question,
+        "question": niah.DEFAULT_QUESTION,
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

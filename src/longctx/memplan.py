@@ -194,6 +194,9 @@ def search_chunk_plan(
         raise ValueError(
             f"minimum chunk sizes must be positive, got {c.min_q_chunk} and {c.min_kv_chunk}"
         )
+    for side, lo, hi in (("q", c.min_q_chunk, c.max_q_chunk), ("kv", c.min_kv_chunk, c.max_kv_chunk)):
+        if hi is not None and hi < lo:
+            raise ValueError(f"max_{side}_chunk must be at least min_{side}_chunk={lo}, got {hi}")
     per_device = seq_len // devices
     q_sizes = _candidate_chunks(per_device, c.min_q_chunk, c.max_q_chunk, c.power_of_two)
     kv_sizes = _candidate_chunks(per_device, c.min_kv_chunk, c.max_kv_chunk, c.power_of_two)

@@ -6,18 +6,18 @@ distinguishes exact recall, truncated recall (a long leading prefix of the
 payload, the signature of position-precision faults), wrong answers, and
 empty answers.
 
-Filler text ships with the package and contains no digits, and a needle
-template holds one ``{payload}`` placeholder and no other digit or brace,
-so the payload occurs exactly once in the document of every accepted case
-and any digits a model returns came from its answer, not the haystack.
-Filler is also JSON-plain (printable ASCII with no quote or backslash), so
-``json.dumps`` writes a document verbatim everywhere but in its needle.
-Token counts are whitespace words * 1.3.
+Every case plants the one needle, DEFAULT_NEEDLE_TEMPLATE around its
+ASCII-digit payload, and asks the one question, DEFAULT_QUESTION. Filler
+text ships with the package and contains no digits, and filler and needle
+are JSON-plain (printable ASCII with no quote or backslash). So every
+document holds its payload once and is JSON-plain: any digits a model
+returns came from its answer, not the haystack, and ``json.dumps`` writes a
+document verbatim. Token counts are whitespace words * 1.3.
 
 Clients are duck-typed: anything with
 ``complete(prompt, max_tokens, temperature) -> str`` works. An HTTP client
 for JSON completion endpoints is included, along with deterministic stubs
-for testing grids offline.
+for running grids offline.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "EchoStub",
     "DropLastDigitStub",
     "SilentStub",
-    "FixtureClient",
     "ApiShape",
     "HttpCompletionClient",
     "estimate_tokens",
@@ -113,13 +112,11 @@ TALLY_KINDS = (*(v.value for v in Verdict), "error")
 
 @dataclass(frozen=True)
 class NiahCase:
-    """Recipe for one haystack: target length, depth, payload, templates, seed."""
+    """Recipe for one haystack: target length, depth, payload, seed."""
 
     haystack_tokens: int
     depth_percent: float
     needle_payload: str
-    needle_template: str = DEFAULT_NEEDLE_TEMPLATE
-    question: str = DEFAULT_QUESTION
     seed: int = 0
 
     def __post_init__(self):
@@ -128,14 +125,10 @@ class NiahCase:
             raise ValueError(f"depth_percent must be in [0, 100], got {self.depth_percent}")
         if not (self.needle_payload.isascii() and self.needle_payload.isdigit()):
             raise ValueError("needle_payload must be a nonempty string of ASCII digits")
-        rest = self.needle_template.replace("{payload}", "", 1)
-        if "{payload}" not in self.needle_template or re.search(r"[0-9{}]", rest):
-            raise ValueError("needle_template must contain one {payload} placeholder and no other digit or brace")
 
 
 @dataclass(frozen=True)
 class GeneratedCase:
-    case: NiahCase
     document: str
     needle_sentence_index: int
     needle_char_offset: int
@@ -185,14 +178,11 @@ def generate_case(case: NiahCase) -> GeneratedCase:
     is the word count of the parts times TOKENS_PER_WORD, which equals
     splitting the joined document.
     """
-    needle = case.needle_template.format(payload=case.needle_payload)
+    needle = DEFAULT_NEEDLE_TEMPLATE.format(payload=case.needle_payload)
     needle_cost = estimate_tokens(needle)
-    question_cost = estimate_tokens(case.question)
-    if case.haystack_tokens < needle_cost + question_cost:
-        raise ValueError(
-            f"haystack_tokens={case.haystack_tokens} cannot hold needle plus question "
-            f"(~{needle_cost + question_cost:.0f} tokens)"
-        )
+    least = needle_cost + estimate_tokens(DEFAULT_QUESTION)
+    if case.haystack_tokens < least:
+        raise ValueError(f"haystack_tokens={case.haystack_tokens} cannot hold needle plus question (~{least:.0f} tokens)")
 
     pool = filler_sentences()
     # Every pool sentence holds a word, so every cost is at least TOKENS_PER_WORD.
@@ -242,7 +232,6 @@ def generate_case(case: NiahCase) -> GeneratedCase:
     # str.split is additive over " ".join, so this is len(document.split()).
     words = int(pool_words[drawn].sum()) + len(pad) + len(needle.split())
     return GeneratedCase(
-        case=case,
         document=" ".join(chosen),
         needle_sentence_index=insert_at,
         needle_char_offset=offset,
@@ -251,7 +240,7 @@ def generate_case(case: NiahCase) -> GeneratedCase:
 
 
 def build_prompt(gen: GeneratedCase) -> str:
-    return f"{gen.document}\n\n{gen.case.question}"
+    return f"{gen.document}\n\n{DEFAULT_QUESTION}"
 
 
 def score(expected: str, answer: str) -> NiahResult:
@@ -295,8 +284,8 @@ class ClientError(RuntimeError):
 class EchoStub:
     """Oracle stub: answers the prompt's first ASCII digit run exactly.
 
-    That run is the payload, because the filler, the default needle
-    template and the question are digit-free.
+    That run is the payload, which every document holds once and the
+    question not at all.
     """
 
     def complete(self, prompt: str, max_tokens: int = 64, temperature: float = 0.0) -> str:
@@ -317,25 +306,6 @@ class SilentStub:
 
     def complete(self, prompt: str, max_tokens: int = 64, temperature: float = 0.0) -> str:
         return ""
-
-
-class FixtureClient:
-    """Replays recorded answers keyed by the payload found in each prompt."""
-
-    def __init__(self, responses: dict[str, str]):
-        self.responses = dict(responses)
-
-    @classmethod
-    def from_file(cls, path) -> "FixtureClient":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls(doc["responses"])
-
-    def complete(self, prompt: str, max_tokens: int = 64, temperature: float = 0.0) -> str:
-        match = _first_digit_run(prompt)
-        if match is None or match.group(0) not in self.responses:
-            raise ClientError("no recorded response for this prompt")
-        return self.responses[match.group(0)]
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,6 @@ class RecipeManifest:
     base_model: str
     phases: tuple[PhasePlan, ...]
     notes: tuple[str, ...] = ()
-    schema: int = SCHEMA_VERSION
 
 
 def megabeam_recipe() -> RecipeManifest:
@@ -336,7 +335,7 @@ def _phase_to_json(p: PhasePlan) -> dict:
 def emit_manifest(manifest: RecipeManifest) -> str:
     """Canonical JSON text: fixed key order, integer token counts, LF-terminated."""
     doc = {
-        "schema": manifest.schema,
+        "schema": SCHEMA_VERSION,
         "base_model": manifest.base_model,
         "notes": list(manifest.notes),
         "phases": [_phase_to_json(p) for p in manifest.phases],
@@ -452,7 +451,6 @@ def parse_manifest(text: str) -> RecipeManifest:
         base_model=_as_str(_require(doc, "base_model", "manifest"), "manifest.base_model"),
         phases=tuple(phases),
         notes=tuple(_as_str(n, f"manifest.notes[{i}]") for i, n in enumerate(notes)),
-        schema=int(schema),
     )
 
 

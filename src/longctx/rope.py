@@ -132,6 +132,12 @@ class DimRotationReport:
     fraction_complete: float
 
 
+def _wavelengths(cfg: RopeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's inverse frequency and its wavelength 2*pi*theta_base**(2i/d)."""
+    inv = inverse_frequencies(cfg)
+    return inv, 2.0 * np.pi / inv
+
+
 def rotation_report(cfg: RopeConfig) -> DimRotationReport:
     """Wavelength 2*pi*theta_base**(2i/d) per pair, flagged against max_position.
 
@@ -139,8 +145,7 @@ def rotation_report(cfg: RopeConfig) -> DimRotationReport:
     position range; pairs that never wrap have seen only a fraction of
     their phase space during any pass over the data.
     """
-    inv = inverse_frequencies(cfg)
-    wavelengths = 2.0 * np.pi / inv
+    inv, wavelengths = _wavelengths(cfg)
     complete = wavelengths <= cfg.max_position
     dims = [
         DimRotation(i, float(inv[i]), float(wavelengths[i]), bool(complete[i]))
@@ -203,7 +208,7 @@ def plan_theta(
     fractions = {}
     for theta in candidates:
         cfg = RopeConfig(theta_base=theta, head_dim=head_dim, max_position=context_len)
-        fractions[theta] = rotation_report(cfg).fraction_complete
+        fractions[theta] = float((_wavelengths(cfg)[1] <= context_len).mean())
 
     eligible = sorted(t for t in candidates if t / bound >= BOUND_SLACK)
     recommended = eligible[0] if eligible else None

@@ -2,10 +2,10 @@
 
 The 16-bit format modeled here has 1 sign bit, 8 exponent bits and 7
 fraction bits, i.e. the same exponent range as a 32-bit float but 16 fewer
-mantissa bits. One numpy kernel does all the rounding, for a float or an
-array alike: it casts to 32-bit floats and works on their bit patterns with
-integer operations, so results are identical on every platform and never
-depend on a native half-width dtype.
+mantissa bits. One kernel does all the rounding, one float at a time: it
+packs the value as a 32-bit float and works on its bit pattern with integer
+operations, so results are identical on every platform and never depend on
+a native half-width dtype.
 
 Only rounding is implemented. That is enough to study how coarse the
 format's integer grid becomes at large magnitudes: every integer up to 2**8
@@ -15,10 +15,9 @@ only 128 grid points.
 
 from __future__ import annotations
 
+import struct
 import sys
 from enum import Enum
-
-import numpy as np
 
 __all__ = [
     "PrecisionMode",
@@ -26,9 +25,6 @@ __all__ = [
     "quantize_position",
     "distinct_integer_census",
 ]
-
-_FRAC_MASK = 0x007F
-_QUIET_BIT = 0x0040
 
 
 class PrecisionMode(Enum):
@@ -38,43 +34,37 @@ class PrecisionMode(Enum):
     REDUCED16 = "reduced16"
 
 
-def _round(x, mode: PrecisionMode):
-    """The one rounding kernel: x represented in mode, as numpy 32-bit floats.
+def _pattern(x: float, mode: PrecisionMode) -> int:
+    """The one rounding kernel: the 32-bit pattern of x represented in mode.
 
-    x, a float or an array, is cast to 32-bit floats, so doubles beyond the
-    32-bit range become infinity of matching sign. REDUCED16 then rounds
-    each 32-bit pattern to its high half, nearest with ties to even: add
-    0x7FFF plus the parity of the kept lsb, then truncate. A carry out of the
-    mantissa walks into the exponent, which is exactly the IEEE
-    overflow-to-infinity path. Subnormals round like any other value; there
-    is no flush to zero. NaN keeps its high fraction bits, and the quiet bit
-    is forced when they are all zero so the pattern cannot collapse to
-    infinity. The patterns of a REDUCED16 result have zero low halves.
+    x is packed as a 32-bit float, so doubles beyond the 32-bit range become
+    infinity of matching sign. REDUCED16 then rounds the pattern to its high
+    half, nearest with ties to even: add 0x7FFF plus the parity of the kept
+    lsb, then truncate. A carry out of the mantissa walks into the exponent,
+    which is exactly the IEEE overflow-to-infinity path. Subnormals round
+    like any other value; there is no flush to zero. A NaN is only
+    truncated, which its set quiet bit survives: the add would carry
+    0x7FFFFFFF into the sign bit.
     """
-    with np.errstate(over="ignore"):
-        f = np.asarray(x, np.float32)[()]  # a numpy scalar for scalar x: cheaper arithmetic
-        if mode is PrecisionMode.FULL32:
-            return f
-        u = f.view(np.uint32)
-        rounded = (u + 0x7FFF + ((u >> 16) & 1)) & 0xFFFF0000
-        quiet = np.uint32(_QUIET_BIT << 16) * ((u & (_FRAC_MASK << 16)) == 0)
-        return np.where(np.isnan(f), (u & 0xFFFF0000) | quiet, rounded).view(np.float32)
+    try:
+        (bits,) = struct.unpack("<I", struct.pack("<f", x))
+    except OverflowError:
+        bits = 0x7F800000 if x > 0 else 0xFF800000
+    if mode is PrecisionMode.REDUCED16:
+        if x == x:
+            bits += 0x7FFF + ((bits >> 16) & 1)
+        bits &= 0xFFFF0000
+    return bits
 
 
-def round_trip(x: float | np.ndarray) -> float | np.ndarray:
-    """Value actually represented after rounding x (a float or an array) to the 16-bit format."""
+def round_trip(x: float) -> float:
+    """Value actually represented after rounding x to the 16-bit format."""
     return quantize_position(x, PrecisionMode.REDUCED16)
 
 
-def quantize_position(position: float | np.ndarray, mode: PrecisionMode) -> float | np.ndarray:
-    """Represent a position index, or an array of them, in the given precision mode.
-
-    A scalar is converted with float() and comes back as a float; an array
-    comes back as a float64 array of the same shape.
-    """
-    if np.ndim(position) == 0:
-        return float(_round(float(position), mode))
-    return _round(position, mode).astype(np.float64)
+def quantize_position(position: float, mode: PrecisionMode) -> float:
+    """Represent a position index in the given precision mode, as a float."""
+    return struct.unpack("<f", struct.pack("<I", _pattern(float(position), mode)))[0]
 
 
 def distinct_integer_census(limit: int) -> int:
@@ -99,7 +89,7 @@ def distinct_integer_census(limit: int) -> int:
         raise ValueError(
             f"limit must be at most {sys.float_info.max:.6e}, the float64 range"
         ) from None
-    top = _round(last, PrecisionMode.REDUCED16)
-    if top <= 256:
-        return int(top) + 1
-    return 257 + (int(top.view(np.uint32)) >> 16) - 0x4380
+    top = _pattern(last, PrecisionMode.REDUCED16)
+    if top <= 0x43800000:  # 256.0; nonnegative floats order like their patterns
+        return int(round_trip(last)) + 1
+    return 257 + (top >> 16) - 0x4380

@@ -310,6 +310,17 @@ class TestMemplan:
         )
         assert error["type"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(("--max-q-chunk", "0"), "max_q_chunk"), (("--min-q-chunk", "64", "--max-q-chunk", "32"), "max_q_chunk")],
+    )
+    def test_search_maximum_below_its_minimum_is_domain_error(self, capsys, flags, field):
+        # Either bound admits no chunk; the search used to print "plan": null with exit 0.
+        error = run_domain_error(
+            capsys, "memplan-search", "--devices", "1", "--seq-len", "64", "--budget", str(2**40), *flags
+        )
+        assert error["type"] == "ValueError" and f"{field} must be at least" in error["message"]
+
     @pytest.mark.parametrize("seq_len", [2**40 + 1, 10**30])
     def test_search_past_the_seq_len_bound_is_domain_error(self, capsys, seq_len):
         # Refused before the divisor scan, which would take about 100 s at 10^18 and never end at 10^30.

@@ -28,7 +28,7 @@ from pathlib import Path
 from unittest import mock
 
 import jsonschema
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from longctx.cli import MAX_SCHEDULE_DEVICES, dispatch
 from longctx.memplan import MAX_SEARCH_SEQ_LEN
@@ -174,6 +174,8 @@ SCHEMAS = {
 
 @settings(max_examples=300, deadline=None)
 @given(argvs())
+@example(["memplan-search", "--devices", "1", "--seq-len", "64", "--budget", "1", "--max-q-chunk", "0"])
+@example(["memplan-search", "--devices", "1", "--seq-len", "64", "--budget", "1", "--min-q-chunk", "64", "--max-q-chunk", "32"])
 def test_every_argv_keeps_the_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     env = {k: v for k, v in os.environ.items() if k != "LONGCTX_ENDPOINT"}

@@ -228,6 +228,20 @@ class TestSearch:
         with pytest.raises(ValueError, match="positive"):
             search_chunk_plan(devices, seq_len, 10**9, constraints)
 
+    @pytest.mark.parametrize(
+        "constraints, field",
+        [
+            (SearchConstraints(max_q_chunk=0), "max_q_chunk"),
+            (SearchConstraints(min_q_chunk=64, max_q_chunk=32), "max_q_chunk"),
+            (SearchConstraints(max_kv_chunk=-1), "max_kv_chunk"),
+            (SearchConstraints(min_kv_chunk=8, max_kv_chunk=4), "max_kv_chunk"),
+        ],
+    )
+    def test_rejects_a_maximum_below_its_minimum(self, constraints, field):
+        # Such bounds admit no chunk, so the search would report no plan whatever the budget.
+        with pytest.raises(ValueError, match=f"{field} must be at least"):
+            search_chunk_plan(2, 1024, 10**12, constraints)
+
     @given(
         per_device=st.integers(1, 5040),
         devices=st.integers(1, 8),
@@ -243,6 +257,11 @@ class TestSearch:
     ):
         seq_len = devices * per_device
         constraints = SearchConstraints(*bounds, power_of_two=power_of_two)
+        min_q, min_kv, max_q, max_kv = bounds
+        if (max_q is not None and max_q < min_q) or (max_kv is not None and max_kv < min_kv):
+            with pytest.raises(ValueError, match="must be at least min_"):
+                search_chunk_plan(devices, seq_len, 1, constraints)
+            return
         # Budgets spread log-uniformly over the table sizes this mesh can reach.
         smallest = lookup_table_bytes(ChunkPlan(devices, seq_len, per_device, per_device))
         largest = lookup_table_bytes(ChunkPlan(devices, seq_len, 1, 1))

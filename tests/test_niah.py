@@ -21,7 +21,6 @@ from longctx.niah import (
     ClientError,
     DropLastDigitStub,
     EchoStub,
-    FixtureClient,
     HttpCompletionClient,
     NiahCase,
     SilentStub,
@@ -36,12 +35,30 @@ from longctx.niah import (
 )
 
 FIXTURE = Path(__file__).parent / "data" / "niah_grid_fixture.json"
+PAYLOAD = "7418118"
 
 
 def make_case(**kwargs):
-    defaults = dict(haystack_tokens=1500, depth_percent=50.0, needle_payload="7418118", seed=11)
+    defaults = dict(haystack_tokens=1500, depth_percent=50.0, needle_payload=PAYLOAD, seed=11)
     defaults.update(kwargs)
     return NiahCase(**defaults)
+
+
+def needle(payload):
+    return niah.DEFAULT_NEEDLE_TEMPLATE.format(payload=payload)
+
+
+class FixtureClient:
+    """Test fake: replays recorded answers keyed by the payload found in each prompt."""
+
+    def __init__(self, responses):
+        self.responses = dict(responses)
+
+    def complete(self, prompt, max_tokens=64, temperature=0.0):
+        match = niah._first_digit_run(prompt)
+        if match is None or match.group(0) not in self.responses:
+            raise ClientError("no recorded response for this prompt")
+        return self.responses[match.group(0)]
 
 
 class TestFiller:
@@ -82,12 +99,12 @@ class TestGenerate:
 
     def test_payload_occurs_exactly_once(self):
         gen = generate_case(make_case())
-        assert gen.document.count(gen.case.needle_payload) == 1
+        assert gen.document.count(PAYLOAD) == 1
 
     def test_depth_zero_puts_needle_first(self):
         gen = generate_case(make_case(depth_percent=0.0))
         assert gen.needle_sentence_index == 0
-        assert gen.document.startswith(gen.case.needle_template.format(payload="7418118"))
+        assert gen.document.startswith(needle(PAYLOAD))
 
     def test_depth_hundred_puts_needle_last(self):
         gen = generate_case(make_case(depth_percent=100.0))
@@ -107,8 +124,8 @@ class TestGenerate:
 
     def test_offset_points_at_needle(self):
         gen = generate_case(make_case(depth_percent=37.0))
-        needle = gen.case.needle_template.format(payload=gen.case.needle_payload)
-        assert gen.document[gen.needle_char_offset : gen.needle_char_offset + len(needle)] == needle
+        planted = needle(PAYLOAD)
+        assert gen.document[gen.needle_char_offset : gen.needle_char_offset + len(planted)] == planted
 
     def test_too_small_target_rejected(self):
         with pytest.raises(ValueError):
@@ -125,36 +142,23 @@ class TestGenerate:
         with pytest.raises(ValueError):
             make_case(needle_payload="12a4")
 
-    def test_template_without_payload_rejected(self):
-        with pytest.raises(ValueError, match="placeholder"):
-            make_case(needle_template="The magic number is here.")
-
-    # Each would break "the payload occurs exactly once": with 2024 in the needle
-    # EchoStub answers 2024 and score reads a correctly planted needle as wrong,
-    # and {{payload}} formats to a literal placeholder, leaving no payload at all.
-    @pytest.mark.parametrize(
-        "template",
-        [
-            "The magic number is {payload}, again {payload}.",
-            "In 2024 the magic number was {payload}.",
-            "The magic number is {{payload}}.",
-            "The {kind} number is {payload}.",
-        ],
-    )
-    def test_template_that_breaks_the_payload_invariant_rejected(self, template):
-        with pytest.raises(ValueError, match="placeholder"):
-            make_case(needle_template=template)
-
-    @pytest.mark.parametrize("template", [niah.DEFAULT_NEEDLE_TEMPLATE, 'She said "{payload}" by the ☃.'])
-    def test_accepted_template_holds_the_payload_once(self, template):
-        gen = generate_case(make_case(needle_template=template))
-        assert gen.document.count(gen.case.needle_payload) == 1
-        assert score(gen.case.needle_payload, EchoStub().complete(build_prompt(gen))).verdict is Verdict.EXACT
-
     def test_default_needle_is_json_plain(self):
         # niah-gen writes its document, needle included, into its JSON verbatim on this.
-        needle = niah.DEFAULT_NEEDLE_TEMPLATE.format(payload="0123456789")
-        assert json.dumps(needle) == f'"{needle}"'
+        planted = needle("0123456789")
+        assert json.dumps(planted) == f'"{planted}"'
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tokens=st.integers(45, 70_000),
+        depth=st.floats(0, 100),
+        payload=st.text("0123456789", min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_document_is_json_plain_and_holds_its_payload_once(self, tokens, depth, payload, seed):
+        # cli._render writes the document verbatim, and the stubs answer the payload, on this.
+        doc = generate_case(NiahCase(tokens, depth, payload, seed)).document
+        assert json.dumps(doc)[1:-1] == doc
+        assert doc.count(payload) == 1
 
     @pytest.mark.parametrize("payload", ["²³", "٣٤", "１２"])
     def test_non_ascii_digit_payload_rejected(self, payload):
@@ -205,9 +209,9 @@ def reference_generate_case(case: NiahCase):
 
     Kept as the reference that the cached form must reproduce field for field.
     """
-    needle = case.needle_template.format(payload=case.needle_payload)
-    needle_cost = estimate_tokens(needle)
-    question_cost = estimate_tokens(case.question)
+    planted = needle(case.needle_payload)
+    needle_cost = estimate_tokens(planted)
+    question_cost = estimate_tokens(niah.DEFAULT_QUESTION)
     if case.haystack_tokens < needle_cost + question_cost:
         raise ValueError("cannot hold needle plus question")
 
@@ -248,10 +252,9 @@ def reference_generate_case(case: NiahCase):
         chosen.append(" ".join(pad) + ".")
 
     insert_at = min(len(chosen), round(case.depth_percent / 100.0 * len(chosen)))
-    document = " ".join(chosen[:insert_at] + [needle] + chosen[insert_at:])
+    document = " ".join(chosen[:insert_at] + [planted] + chosen[insert_at:])
     offset = sum(map(len, chosen[:insert_at])) + insert_at
     return niah.GeneratedCase(
-        case=case,
         document=document,
         needle_sentence_index=insert_at,
         needle_char_offset=offset,
@@ -266,13 +269,9 @@ class TestGenerateMatchesReference:
         depth=st.floats(0, 100) | st.sampled_from([0.0, 100.0]),
         payload=st.text("0123456789", min_size=1, max_size=12),
         seed=st.integers(0, 2**32 - 1),
-        template=st.sampled_from([niah.DEFAULT_NEEDLE_TEMPLATE, 'She said "{payload}" by the ☃.']),
     )
-    def test_fields_equal_the_reference(self, tokens, depth, payload, seed, template):
-        case = NiahCase(
-            haystack_tokens=tokens, depth_percent=depth, needle_payload=payload,
-            needle_template=template, seed=seed,
-        )
+    def test_fields_equal_the_reference(self, tokens, depth, payload, seed):
+        case = NiahCase(haystack_tokens=tokens, depth_percent=depth, needle_payload=payload, seed=seed)
         try:
             expected = reference_generate_case(case)
         except ValueError:  # too small for needle plus question
@@ -286,7 +285,7 @@ class TestGenerateMatchesReference:
         # These seeds' first block of draws stays within the budget, so a second block is drawn.
         case = NiahCase(haystack_tokens=524_288, depth_percent=50.0, needle_payload="4096512", seed=seed)
         costs = np.array([estimate_tokens(s) for s in filler_sentences()])
-        budget = case.haystack_tokens - estimate_tokens(case.needle_template.format(payload=case.needle_payload))
+        budget = case.haystack_tokens - estimate_tokens(needle(case.needle_payload))
         first = np.random.default_rng(seed).integers(0, costs.size, size=64 + int(budget / costs[costs > 0].mean()))
         assert np.cumsum(costs[first])[-1] <= budget
         assert generate_case(case) == reference_generate_case(case)
@@ -354,21 +353,21 @@ class TestStubs:
         gen = generate_case(make_case(depth_percent=depth))
         prompt = build_prompt(gen)
         found = niah._first_digit_run(prompt)
-        start = gen.needle_char_offset + gen.case.needle_template.index("{payload}")
-        assert (found.start(), found.group(0)) == (start, gen.case.needle_payload)
-        assert score(gen.case.needle_payload, EchoStub().complete(prompt)).verdict is Verdict.EXACT
-        assert score(gen.case.needle_payload, DropLastDigitStub().complete(prompt)).verdict is Verdict.TRUNCATED
-        assert FixtureClient({gen.case.needle_payload: "recorded"}).complete(prompt) == "recorded"
+        start = gen.needle_char_offset + niah.DEFAULT_NEEDLE_TEMPLATE.index("{payload}")
+        assert (found.start(), found.group(0)) == (start, PAYLOAD)
+        assert score(PAYLOAD, EchoStub().complete(prompt)).verdict is Verdict.EXACT
+        assert score(PAYLOAD, DropLastDigitStub().complete(prompt)).verdict is Verdict.TRUNCATED
+        assert FixtureClient({PAYLOAD: "recorded"}).complete(prompt) == "recorded"
 
     def test_echo_stub_finds_needle(self):
         gen = generate_case(make_case())
         answer = EchoStub().complete(build_prompt(gen))
-        assert score(gen.case.needle_payload, answer).verdict is Verdict.EXACT
+        assert score(PAYLOAD, answer).verdict is Verdict.EXACT
 
     def test_drop_last_digit_stub(self):
         gen = generate_case(make_case())
         answer = DropLastDigitStub().complete(build_prompt(gen))
-        assert score(gen.case.needle_payload, answer).verdict is Verdict.TRUNCATED
+        assert score(PAYLOAD, answer).verdict is Verdict.TRUNCATED
 
 
 class TestHaystackBound:
@@ -423,10 +422,6 @@ class TestGrid:
                 assert cell.counts[verdict] == want.get(verdict, 0), (
                     cell.haystack_tokens, cell.depth_percent, verdict,
                 )
-
-    def test_fixture_client_reads_its_file(self):
-        doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
-        assert FixtureClient.from_file(FIXTURE).responses == doc["responses"]
 
     def test_aggregation_equals_recount_of_details(self):
         doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
@@ -588,7 +583,7 @@ class TestHttpClient:
         client = HttpCompletionClient(endpoint)
         gen = generate_case(make_case())
         answer = client.complete(build_prompt(gen), max_tokens=32)
-        assert score(gen.case.needle_payload, answer).verdict is Verdict.EXACT
+        assert score(PAYLOAD, answer).verdict is Verdict.EXACT
 
     def test_grid_over_http(self, endpoint):
         _Endpoint.behavior = "echo"
@@ -611,7 +606,7 @@ class TestHttpClient:
         client = HttpCompletionClient(endpoint, shape=ApiShape(text_path="choices.0.text"))
         gen = generate_case(make_case())
         answer = client.complete(build_prompt(gen))
-        assert score(gen.case.needle_payload, answer).verdict is Verdict.EXACT
+        assert score(PAYLOAD, answer).verdict is Verdict.EXACT
 
     def test_malformed_response_raises_client_error(self, endpoint):
         _Endpoint.behavior = "malformed"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from longctx import rope
 from longctx.rope import (
     MAX_HEAD_DIM,
     BOUND_SLACK,
@@ -279,3 +280,16 @@ class TestPlanTheta:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
             plan_theta(1024, [])
+
+    def test_fractions_equal_the_rotation_report_without_building_one(self, monkeypatch):
+        # A report builds d/2 rows; the plan reads each fraction from the wavelengths alone.
+        candidates = [1e4, 5e5, 25e6, 75e6, 100e6, 200e6, 1e9]
+        want = plan_theta(524_288, candidates, head_dim=256)
+        fractions = [rotation_report(cfg(t, 256, 524_288)).fraction_complete for t in candidates]
+
+        def no_report(cfg):
+            raise AssertionError("plan_theta built a rotation report")
+
+        monkeypatch.setattr(rope, "rotation_report", no_report)
+        assert plan_theta(524_288, candidates, head_dim=256) == want
+        assert [c.fraction_complete for c in want.candidates] == fractions

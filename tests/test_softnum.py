@@ -129,6 +129,10 @@ class TestRounding:
 
     def test_nan_stays_nan(self):
         assert math.isnan(round_trip(math.nan))
+        # Truncating 0x7F800001 alone would leave the infinity pattern 0x7F80, and
+        # rounding 0x7FFFFFFF up would carry into the sign bit and give -0.0.
+        for bits in (0x7F800001, 0xFF800001, 0x7FC00000, 0x7FFFFFFF, 0xFFFFFFFF):
+            assert math.isnan(round_trip(struct.unpack("<f", struct.pack("<I", bits))[0])), hex(bits)
 
     def test_subnormals_survive(self):
         tiny = 2.0**-133  # representable subnormal of the 16-bit format
@@ -140,8 +144,6 @@ class TestRounding:
             warnings.simplefilter("error")
             assert round_trip(1e300) == math.inf
             assert quantize_position(-1e300, PrecisionMode.FULL32) == -math.inf
-            out = round_trip(np.array([1e300, -1e300, math.nan]))
-            assert out[0] == math.inf and out[1] == -math.inf and math.isnan(out[2])
             assert distinct_integer_census(10**300) > 0
 
 
@@ -171,28 +173,13 @@ class TestProperties:
             return
         assert oracle_round(r) == r
 
-
-class TestArrays:
-    @given(st.lists(st.floats(width=32), max_size=32))
-    def test_array_matches_oracle_elementwise(self, xs):
-        arr = np.array(xs, dtype=np.float64)
-        trip, full = round_trip(arr), quantize_position(arr, PrecisionMode.FULL32)
-        assert trip.shape == full.shape == arr.shape
-        for x, got in zip(xs, trip):
-            want = oracle_round(x)
-            assert got == want or (math.isnan(got) and math.isnan(want)), x
-        np.testing.assert_array_equal(full, [as_f32(x) for x in xs])
-        np.testing.assert_array_equal(quantize_position(arr, PrecisionMode.REDUCED16), trip)
-
-    def test_nan_payload_in_the_low_half_stays_nan(self):
-        # Truncating 0x7F800001 alone would leave the infinity pattern 0x7F80.
-        x = np.array([0x7F800001, 0xFF800001, 0x7FC00000], np.uint32).view(np.float32)
-        assert np.isnan(round_trip(x)).all()
-
-    def test_scalars_stay_python_floats(self):
-        assert type(round_trip(3)) is float
-        assert type(quantize_position(np.float32(0.1), PrecisionMode.FULL32)) is float
-        assert type(quantize_position(257, PrecisionMode.REDUCED16)) is float
+    @given(st.floats(width=32))
+    def test_matches_oracle_and_float32(self, x):
+        trip, full = round_trip(x), quantize_position(x, PrecisionMode.FULL32)
+        assert type(trip) is float and type(full) is float
+        want = oracle_round(x)
+        assert trip == want or (math.isnan(trip) and math.isnan(want)), x
+        assert full == as_f32(x) or (math.isnan(full) and math.isnan(x)), x
 
 
 @lru_cache(maxsize=1)
