@@ -42,9 +42,9 @@ def _pattern(x: float, mode: PrecisionMode) -> int:
     half, nearest with ties to even: add 0x7FFF plus the parity of the kept
     lsb, then truncate. A carry out of the mantissa walks into the exponent,
     which is exactly the IEEE overflow-to-infinity path. Subnormals round
-    like any other value; there is no flush to zero. A NaN is only
-    truncated, which its set quiet bit survives: the add would carry
-    0x7FFFFFFF into the sign bit.
+    like any other value; there is no flush to zero. A NaN skips the add,
+    which would carry 0x7FFFFFFF into the sign bit; truncation keeps its
+    quiet bit, which packing always sets, so it stays a NaN.
     """
     try:
         (bits,) = struct.unpack("<I", struct.pack("<f", x))

@@ -129,8 +129,8 @@ class TestRounding:
 
     def test_nan_stays_nan(self):
         assert math.isnan(round_trip(math.nan))
-        # Truncating 0x7F800001 alone would leave the infinity pattern 0x7F80, and
-        # rounding 0x7FFFFFFF up would carry into the sign bit and give -0.0.
+        # A NaN reaches the kernel quiet, so truncation keeps it a NaN; rounding
+        # 0x7FFFFFFF up would carry into the sign bit and give -0.0.
         for bits in (0x7F800001, 0xFF800001, 0x7FC00000, 0x7FFFFFFF, 0xFFFFFFFF):
             assert math.isnan(round_trip(struct.unpack("<f", struct.pack("<I", bits))[0])), hex(bits)
 
