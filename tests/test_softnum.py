@@ -129,10 +129,6 @@ class TestRounding:
 
     def test_nan_stays_nan(self):
         assert math.isnan(round_trip(math.nan))
-        # A NaN reaches the kernel quiet, so truncation keeps it a NaN; rounding
-        # 0x7FFFFFFF up would carry into the sign bit and give -0.0.
-        for bits in (0x7F800001, 0xFF800001, 0x7FC00000, 0x7FFFFFFF, 0xFFFFFFFF):
-            assert math.isnan(round_trip(struct.unpack("<f", struct.pack("<I", bits))[0])), hex(bits)
 
     def test_subnormals_survive(self):
         tiny = 2.0**-133  # representable subnormal of the 16-bit format
@@ -173,13 +169,33 @@ class TestProperties:
             return
         assert oracle_round(r) == r
 
+
+class TestArrays:
+    """Batches of inputs, each rounded through the scalar API."""
+
+    @given(st.lists(st.floats(width=32), max_size=32))
+    def test_array_matches_oracle_elementwise(self, xs):
+        for x in xs:
+            trip, full = round_trip(x), quantize_position(x, PrecisionMode.FULL32)
+            want = oracle_round(x)
+            assert trip == want or (math.isnan(trip) and math.isnan(want)), x
+            assert full == as_f32(x) or (math.isnan(full) and math.isnan(x)), x
+            assert quantize_position(x, PrecisionMode.REDUCED16) == trip or math.isnan(trip), x
+
+    def test_nan_payload_in_the_low_half_stays_nan(self):
+        # Truncating 0x7F800001 alone would leave the infinity pattern 0x7F80;
+        # a NaN reaches the kernel quiet, so truncation keeps it a NaN. Rounding
+        # 0x7FFFFFFF up would carry into the sign bit and give -0.0.
+        for bits in (0x7F800001, 0xFF800001, 0x7FC00000, 0x7FFFFFFF, 0xFFFFFFFF):
+            assert math.isnan(round_trip(struct.unpack("<f", struct.pack("<I", bits))[0])), hex(bits)
+
     @given(st.floats(width=32))
-    def test_matches_oracle_and_float32(self, x):
-        trip, full = round_trip(x), quantize_position(x, PrecisionMode.FULL32)
-        assert type(trip) is float and type(full) is float
-        want = oracle_round(x)
-        assert trip == want or (math.isnan(trip) and math.isnan(want)), x
-        assert full == as_f32(x) or (math.isnan(full) and math.isnan(x)), x
+    def test_scalars_stay_python_floats(self, x):
+        assert type(round_trip(x)) is float
+        assert type(quantize_position(x, PrecisionMode.FULL32)) is float
+        assert type(round_trip(3)) is float
+        assert type(quantize_position(np.float32(0.1), PrecisionMode.FULL32)) is float
+        assert type(quantize_position(257, PrecisionMode.REDUCED16)) is float
 
 
 @lru_cache(maxsize=1)
