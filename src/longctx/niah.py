@@ -184,7 +184,6 @@ def generate_case(case: NiahCase) -> GeneratedCase:
     if case.haystack_tokens < least:
         raise ValueError(f"haystack_tokens={case.haystack_tokens} cannot hold needle plus question (~{least:.0f} tokens)")
 
-    pool = filler_sentences()
     # Every pool sentence holds a word, so every cost is at least TOKENS_PER_WORD.
     sentences, costs, pool_words, pool_chars = _filler_tables()
     mean_cost = costs.mean()
@@ -195,7 +194,7 @@ def generate_case(case: NiahCase) -> GeneratedCase:
     total = 0.0
     while True:
         # Enough draws to reach the budget at the mean cost, plus slack.
-        block = rng.integers(0, len(pool), size=64 + int((budget - total) / mean_cost))
+        block = rng.integers(0, len(sentences), size=64 + int((budget - total) / mean_cost))
         running = np.cumsum(np.concatenate(([total], costs[block])))
         over = np.flatnonzero(running[1:] > budget)
         if over.size:
@@ -206,12 +205,12 @@ def generate_case(case: NiahCase) -> GeneratedCase:
     picks.append(block[:stop])
     total = float(running[stop])
     # The padding sentence is the next draw in the stream.
-    spare_pick = block[stop + 1] if stop + 1 < block.size else rng.integers(0, len(pool))
+    spare_pick = block[stop + 1] if stop + 1 < block.size else rng.integers(0, len(sentences))
     drawn = np.concatenate(picks)
     chosen = sentences[drawn].tolist()
 
     # Pad word by word from the spare sentence until within 2% under budget.
-    spare = pool[int(spare_pick)].rstrip(".").split()
+    spare = sentences[int(spare_pick)].rstrip(".").split()
     pad: list[str] = []
     for word in spare:
         if total >= 0.98 * budget:

@@ -415,7 +415,7 @@ def parse_manifest(text: str) -> RecipeManifest:
     _as_object(doc, "manifest")
 
     schema = _require(doc, "schema", "manifest")
-    if schema != SCHEMA_VERSION:
+    if isinstance(schema, bool) or schema != SCHEMA_VERSION:
         raise ManifestError(f"unsupported schema version {schema!r}, expected {SCHEMA_VERSION}")
 
     phases = []

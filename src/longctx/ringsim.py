@@ -60,22 +60,25 @@ _groups sizes both splits: one group per usable CPU, at most one per
 unit, each holding one unit's scratch at a time, and no more groups than
 the route's budget holds scratches. The oracle's unit is a row strip of
 _oracle_rows(S) rows (as many as _SLAB_BYTES holds at width S, from 64
-to 256 and at most S), its scratch one strip, updated in place by every
-pass, and its budget the _ORACLE_ROWS x S strip random_problem admits,
-so it splits from S = 1024. The ring's unit is a row block of _slab_cap
-query chunks, which shares no state row with another, its scratch one
-slab's temporaries (_SLAB_BYTES or one block) and its budget
-MAX_WORKING_SET_BYTES; it splits only when one block's QK^T takes at
-least _THREADED_BLOCK_MACS multiply-adds (a row block is then one query
-chunk) and each group gets two row blocks or more. Group g of G takes
-units g, g + G, ... in order; the calling thread runs group 0 and a
-per-call pool the rest. Bits cannot move: each query chunk meets the same
-slabs, and each row strip the same passes, as on one thread, and the
-slabs, hence RingTrace, depend on the input alone. Workers call only
-private helpers, so a wrapper around a public function (a tracer's, say)
-sees each call once, on the calling thread. exact_attention never holds
-an S x S array; attention_weights returns one, which ringsim --dump-weights
-writes as CSV only for S <= 3,213, while 26 x S x S bytes fit cli.MAX_DUMP_BYTES.
+to 256 and at most S), its scratch one strip as wide as the widest span
+of the strips it walks, updated in place by every pass, and its budget
+the _ORACLE_ROWS x S strip random_problem admits, so it splits from
+S = 1024. The ring's unit is a row block of _slab_cap query chunks, which
+shares no state row with another, its scratch one slab's temporaries
+(_SLAB_BYTES or one block) and its budget MAX_WORKING_SET_BYTES; it
+splits only when one block's QK^T takes at least _THREADED_BLOCK_MACS
+multiply-adds (a row block is then one query chunk) and each group gets
+two row blocks or more. Group g of G takes units g, g + G, ... in order;
+the calling thread runs group 0 and a per-call pool the rest. Bits cannot
+move: each query chunk meets the same slabs, and each row strip the same
+passes, as on one thread. The ring builds RingTrace, slab count included,
+from its schedule before the fold reads Q/K/V, so the trace depends on
+the segment ids, the causal flag, the mesh and d alone, and the fold only
+computes. Workers call only private helpers, so a wrapper around a
+public function (a tracer's, say) sees each call once, on the calling
+thread. exact_attention never holds an S x S array; attention_weights
+returns one, which ringsim --dump-weights writes as CSV only for
+S <= 3,213, while 26 x S x S bytes fit cli.MAX_DUMP_BYTES.
 
 Memory is bounded before anything is allocated: random_problem refuses a
 problem whose Q/K/V plus a 256 x S oracle strip, the oracle's budget,
@@ -243,11 +246,10 @@ class DospLimits:
     all_to_all_dosp: int
 
 
-def _legal_keys(p: AttentionProblem) -> tuple[np.ndarray, np.ndarray]:
+def _legal_keys(segment_ids: np.ndarray, causal: bool) -> tuple[np.ndarray, np.ndarray]:
     """Row i's legal keys [lo[i], hi[i]]: its segment's start to i (causal) or to the segment's end."""
-    seg = p.segment_ids
-    lo = np.searchsorted(seg, seg, side="left")
-    hi = np.arange(p.seq_len) if p.causal else np.searchsorted(seg, seg, side="right") - 1
+    lo = np.searchsorted(segment_ids, segment_ids, side="left")
+    hi = np.arange(segment_ids.size) if causal else np.searchsorted(segment_ids, segment_ids, side="right") - 1
     return lo.astype(np.int32), hi.astype(np.int32)
 
 
@@ -256,21 +258,22 @@ def _oracle_rows(seq_len: int) -> int:
     return min(_ORACLE_ROWS, max(_ORACLE_MIN_ROWS, _SLAB_BYTES // (8 * seq_len)), seq_len)
 
 
-def _oracle_blocks(p: AttentionProblem, strips: slice = slice(None)):
+def _oracle_blocks(p: AttentionProblem, lo: np.ndarray, hi: np.ndarray, strips: slice = slice(None)):
     """Softmax weights of each _oracle_rows(S)-row query block over its legal key span.
 
-    Yields (rows, cols, weights), weights of shape (len(rows), len(cols)),
-    for the row blocks strips selects, in order. See the module docstring
-    for the span. Each row is a full softmax over its span, masked-out
-    pairs exactly 0.0, computed in place in one scratch buffer allocated per
-    call: weights is a contiguous view of its head, overwritten by the next
-    block, so copy it to keep it.
+    lo and hi are p's legal-key bounds (_legal_keys). Yields (rows, cols,
+    weights), weights of shape (len(rows), len(cols)), for the row blocks
+    strips selects, in order. See the module docstring for the span. Each
+    row is a full softmax over its span, masked-out pairs exactly 0.0,
+    computed in place in one scratch buffer allocated per call, as wide as
+    the widest span it walks: weights is a contiguous view of its head,
+    overwritten by the next block, so copy it to keep it.
     """
-    lo, hi = _legal_keys(p)
-    rows = _oracle_rows(p.seq_len)
-    scratch = np.empty(rows * p.seq_len)
-    for start in range(0, p.seq_len, rows)[strips]:
-        stop = min(start + rows, p.seq_len)
+    rows, S = _oracle_rows(p.seq_len), p.seq_len
+    starts = range(0, S, rows)[strips]
+    scratch = np.empty(rows * int(max(hi[min(start + rows, S) - 1] + 1 - lo[start] for start in starts)))
+    for start in starts:
+        stop = min(start + rows, S)
         first, end = int(lo[start]), int(hi[stop - 1]) + 1
         w = scratch[: (stop - start) * (end - first)].reshape(stop - start, end - first)
         np.matmul(p.q[start:stop], p.k[first:end].T, out=w)
@@ -299,7 +302,7 @@ def attention_weights(p: AttentionProblem) -> np.ndarray:
     segment test), so no row is ever empty.
     """
     weights = np.zeros((p.seq_len, p.seq_len))
-    for rows, cols, w in _oracle_blocks(p):
+    for rows, cols, w in _oracle_blocks(p, *_legal_keys(p.segment_ids, p.causal)):
         weights[rows, cols] = w
     return weights
 
@@ -309,14 +312,16 @@ def exact_attention(p: AttentionProblem) -> np.ndarray:
 
     Row blocks are independent, so up to one group per usable CPU walks
     every groups-th block, each with its own scratch strip, while those
-    strips fit the _ORACLE_ROWS x S that random_problem admits.
+    strips fit the _ORACLE_ROWS x S that random_problem admits. The
+    groups share one copy of the legal-key bounds.
     """
+    lo, hi = _legal_keys(p.segment_ids, p.causal)
     out = np.empty_like(p.v)
     height = _oracle_rows(p.seq_len)
     groups = _groups(-(-p.seq_len // height), height, _ORACLE_ROWS)
 
     def walk(group: int) -> None:
-        for rows, cols, w in _oracle_blocks(p, slice(group, None, groups)):
+        for rows, cols, w in _oracle_blocks(p, lo, hi, slice(group, None, groups)):
             np.matmul(w, p.v[cols], out=out[rows])
 
     _run_groups(walk, groups)
@@ -445,19 +450,16 @@ def _ring_groups(n_q: int, qc: int, kc: int, d: int) -> int:
     return _groups(-(-n_q // _slab_cap(qc, kc, d)) // 2, slab, MAX_WORKING_SET_BYTES)
 
 
-def _run_groups(task, groups: int):
-    """task(g) for g in range(groups): group 0 on the calling thread, the rest on a per-call pool.
-
-    Returns task(0).
-    """
+def _run_groups(task, groups: int) -> None:
+    """task(g) for g in range(groups): group 0 on the calling thread, the rest on a per-call pool."""
     if groups == 1:
-        return task(0)
+        task(0)
+        return
     with ThreadPoolExecutor(groups - 1) as pool:
         futures = [pool.submit(task, g) for g in range(1, groups)]
-        first = task(0)
+        task(0)
         for future in futures:
             future.result()
-    return first
 
 
 def _rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -485,21 +487,29 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
     mesh.validate_for(p.seq_len)
     P, qc, kc, d = mesh.device_count, mesh.query_chunk, mesh.kv_chunk, p.head_dim
     n_q, n_kv = p.seq_len // qc, p.seq_len // kc
-    lo, hi = _legal_keys(p)
+    # The schedule and the trace come from the segment ids, the mesh and d alone. Slabs are counted,
+    # not listed: one causal document at S = 524,288 and 256/256 chunks makes 2.1M (385 MiB as tuples).
+    lo, hi = _legal_keys(p.segment_ids, p.causal)
     row, widths, qi_all, ki_all, full = _fold_schedule(lo, hi, mesh)
+    cap, steps = _slab_cap(qc, kc, d), widths.tolist()
+    trace = RingTrace(
+        device_count=P,
+        transfers=P * (P - 1),
+        blocks_visited=ki_all.size,
+        blocks_full=int(np.count_nonzero(full)),
+        blocks_skipped=n_q * n_kv - ki_all.size,
+        kernel_calls=sum(1 for _ in _slabs(steps, cap)),
+        fold_steps=widths.size,
+    )
     lo, hi = lo.reshape(n_q, qc, 1), hi.reshape(n_q, qc, 1)  # by query chunk, for the partial-block mask
 
     q, key, v = p.q.reshape(n_q, qc, d), p.k.reshape(n_kv, kc, d), p.v.reshape(n_kv, kc, d)
     m, state = np.full((n_q, qc), -np.inf), np.zeros((n_q, qc, d + 1))  # state: acc | l
-    cap, steps = _slab_cap(qc, kc, d), widths.tolist()
     groups = _ring_groups(n_q, qc, kc, d)  # group g folds row blocks g, g + groups, ...
 
-    def fold(group: int) -> int:
-        """Folds group's slabs; returns how many slabs there are, its own or not."""
-        slabs = 0
+    def fold(group: int) -> None:
         for b0, c0, ns in _slabs(steps, cap):
-            slabs += 1
-            if groups > 1 and c0 // cap % groups != group:
+            if c0 // cap % groups != group:
                 continue
             # Batched: scores, mask, running max, shift, alpha, exp, row sums and P.V of every block.
             w, blocks = ns[0], slice(b0, b0 + sum(ns))
@@ -548,21 +558,10 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
                 rec *= alpha[b : b + n]
                 rec += terms[b : b + n]
                 b += n
-        return slabs
 
-    slabs = _run_groups(fold, groups)
+    _run_groups(fold, groups)
     np.divide(state[..., :d], state[..., d:], out=state[..., :d])
-    out = state[row, :, :d]
-    trace = RingTrace(
-        device_count=P,
-        transfers=P * (P - 1),
-        blocks_visited=ki_all.size,
-        blocks_full=int(np.count_nonzero(full)),
-        blocks_skipped=n_q * n_kv - ki_all.size,
-        kernel_calls=slabs,
-        fold_steps=widths.size,
-    )
-    return out.reshape(p.seq_len, d), trace
+    return state[row, :, :d].reshape(p.seq_len, d), trace
 
 
 def dosp_limits(kv_heads: int, devices: int) -> DospLimits:

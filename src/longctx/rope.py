@@ -217,11 +217,7 @@ def plan_theta(
     for theta in candidates:
         if theta / bound < BOUND_SLACK:
             cls = ThetaClass.BELOW_BOUND
-        elif (
-            recommended is not None
-            and theta != recommended
-            and fractions[theta] < fractions[recommended]
-        ):
+        elif theta != recommended and fractions[theta] < fractions[recommended]:
             cls = ThetaClass.FAR_ABOVE_BOUND
         else:
             cls = ThetaClass.IN_BAND

@@ -573,6 +573,15 @@ class TestRecipe:
         assert code == 1 and captured.out == ""
         check_schema("error", json.loads(captured.err))
 
+    @pytest.mark.parametrize("action", ["show", "validate"])
+    def test_boolean_schema_version_is_domain_error(self, capsys, tmp_path, action):
+        doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        doc["schema"] = True
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        error = run_domain_error(capsys, "recipe", action, "--file", str(path))
+        assert error["type"] == "ManifestError" and "schema" in error["message"]
+
     def test_round_trip_through_file(self, capsys, tmp_path):
         path = tmp_path / "manifest.json"
         run_cli(capsys, "recipe", "emit", "--out", str(path))

@@ -198,6 +198,15 @@ class TestSerialization:
         with pytest.raises(ManifestError, match="schema"):
             load_manifest(json.dumps(doc))
 
+    def test_load_boolean_schema_version_fails(self):
+        # true == 1 in Python, but the manifest schema's "const": 1 refuses true and takes 1.0.
+        doc = json.loads(emit_manifest(megabeam_recipe()))
+        doc["schema"] = True
+        with pytest.raises(ManifestError, match="schema"):
+            load_manifest(json.dumps(doc))
+        doc["schema"] = 1.0
+        assert load_manifest(json.dumps(doc)) == megabeam_recipe()
+
     @pytest.mark.parametrize(
         "path, value, match",
         [

@@ -68,7 +68,7 @@ def allowed_mask(p: AttentionProblem, rows: np.ndarray, cols: np.ndarray) -> np.
 
 def classify_blocks(p: AttentionProblem, query_chunk: int, kv_chunk: int):
     """Live and full flags of every (query chunk x KV chunk) block, expanded from _live_ranges."""
-    lo, hi, flo, fhi = (a[:, None] for a in _live_ranges(*_legal_keys(p), query_chunk, kv_chunk))
+    lo, hi, flo, fhi = (a[:, None] for a in _live_ranges(*_legal_keys(p.segment_ids, p.causal), query_chunk, kv_chunk))
     k = np.arange(p.seq_len // kv_chunk)
     return (lo <= k) & (k < hi), (flo <= k) & (k < fhi)
 
@@ -491,7 +491,7 @@ class TestBlockClassification:
                     assert np.array_equal(live, blocks.any(axis=(1, 3))), (segment_ids, causal, qc, kc)
                     assert np.array_equal(full, blocks.all(axis=(1, 3))), (segment_ids, causal, qc, kc)
                     # Run lengths are block counts: an empty full run has length 0, never less.
-                    lo, hi, flo, fhi = _live_ranges(*_legal_keys(p), qc, kc)
+                    lo, hi, flo, fhi = _live_ranges(*_legal_keys(p.segment_ids, p.causal), qc, kc)
                     assert np.array_equal(hi - lo, live.sum(axis=1)) and np.array_equal(fhi - flo, full.sum(axis=1))
                     cases += 1
         assert cases == 5954
@@ -527,7 +527,7 @@ class TestBlockClassification:
             q=np.zeros((S, S)), k=np.zeros((S, S)), v=np.eye(S), segment_ids=segment_ids, causal=causal,
         )
         legal = allowed_mask(p, np.arange(S), np.arange(S))
-        lo, hi = _legal_keys(p)
+        lo, hi = _legal_keys(p.segment_ids, p.causal)
         assert np.array_equal((lo[:, None] <= np.arange(S)) & (np.arange(S) <= hi[:, None]), legal)
         assert np.array_equal(attention_weights(p) > 0, legal)
         assert np.array_equal(exact_attention(p) > 0, legal)
@@ -632,7 +632,7 @@ class TestInPlaceOracle:
     def test_many_strips_under_a_smaller_budget(self, p, budget):
         # Budgets below 64 rows' worth take the 64-row floor; the rest cut S = 257-700 into 64 to 256 rows.
         with mock.patch.object(ringsim, "_SLAB_BYTES", budget):
-            starts = [rows.start for rows, _, _ in ringsim._oracle_blocks(p)]
+            starts = [rows.start for rows, _, _ in ringsim._oracle_blocks(p, *_legal_keys(p.segment_ids, p.causal))]
             assert starts == list(range(0, p.seq_len, oracle_rows(p.seq_len)))
             assert_bit_identical_to_per_pass_oracle(p)
 
@@ -675,7 +675,7 @@ class TestBatchedKernel:
         # Each query chunk folds its live KV chunks by ring step, (dq - dk) mod P, then by KV chunk.
         P = mesh.device_count
         nq, nkv = S // qc // P, S // kc // P
-        _, _, qi, ki, _ = _fold_schedule(*_legal_keys(p), mesh)  # by (fold step, state row)
+        _, _, qi, ki, _ = _fold_schedule(*_legal_keys(p.segment_ids, p.causal), mesh)  # by (fold step, state row)
         for c in range(S // qc):
             ring_order = sorted(np.flatnonzero(live[c]), key=lambda k: ((c // nq - k // nkv) % P, k))
             assert ki[qi == c].tolist() == ring_order
@@ -870,6 +870,27 @@ class TestWorkerGroups:
             finally:
                 tracemalloc.stop()
         assert peak <= 8 * S * (d + ringsim._ORACLE_ROWS) + 2**20  # 12.3 MiB measured
+
+    def test_split_oracle_scratch_follows_the_widest_span(self):
+        # 512 random-cut documents at S = 65,536 with 64 CPUs: four groups of 64-row strips,
+        # each as wide as the widest span its group walks, not S (32 MiB a group), beside
+        # the output, one shared copy of the legal-key bounds (two int32s a token) and the
+        # strips' edge masks.
+        S, d = 65536, 8
+        p = random_problem(S, d, np.random.default_rng(0), num_segments=512)
+        rows, starts = oracle_rows(S), np.arange(0, S, oracle_rows(S))
+        # A causal strip's span runs from its first row's segment start to its last row.
+        widest = int((np.minimum(starts + rows, S) - np.searchsorted(p.segment_ids, p.segment_ids[starts])).max())
+        with cpus(64):
+            groups = oracle_groups(S)
+            assert groups == 4
+            tracemalloc.start()
+            try:
+                exact_attention(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 8 * (groups * rows * widest + S * (d + 1)) + 2**20  # 6.6 MiB measured
 
     def test_split_ring_holds_one_slab_per_group(self):
         # One 4096-token document at d = 128 with 64 CPUs and a working-set bound of four
