@@ -110,18 +110,18 @@ def _cmd_rope_report(args) -> str:
     return "pair_index,inv_freq,wavelength,complete\n" + "".join(rows)
 
 
-def _parse_segments(spec: str, seq_len: int) -> np.ndarray:
+def _parse_segments(spec: str, seq_len: int) -> list[int]:
     lengths = _parse_number_list(spec, int)
     if sum(lengths) != seq_len or any(n < 1 for n in lengths):
         raise ValueError(f"segment lengths {lengths} must be positive and sum to {seq_len}")
-    return np.repeat(np.arange(len(lengths)), lengths)
+    return lengths
 
 
 def _cmd_ringsim(args) -> dict:
     mesh = ringsim.RingMesh(
         device_count=args.devices, query_chunk=args.q_chunk, kv_chunk=args.kv_chunk
     )
-    # Every size bound is checked before anything sized by S is allocated.
+    # Every size bound, and the --segments list, is checked before anything sized by S is allocated.
     mesh.validate_for(args.seq_len)
     if args.devices > MAX_SCHEDULE_DEVICES:
         raise ValueError(f"devices={args.devices} is more than MAX_SCHEDULE_DEVICES={MAX_SCHEDULE_DEVICES}")
@@ -130,14 +130,13 @@ def _cmd_ringsim(args) -> dict:
             f"--dump-weights at seq_len={args.seq_len} writes up to {26 * args.seq_len**2} bytes, "
             f"more than MAX_DUMP_BYTES={MAX_DUMP_BYTES}"
         )
+    lengths = _parse_segments(args.segments, args.seq_len) if args.segments else None
     rng = np.random.default_rng(args.seed)
     # One segment draws no cut points, so Q/K/V come from the same stream
     # with or without --segments; replace() re-runs the problem's checks.
     problem = ringsim.random_problem(args.seq_len, args.head_dim, rng, num_segments=1)
-    if args.segments:
-        problem = dataclasses.replace(
-            problem, segment_ids=_parse_segments(args.segments, args.seq_len)
-        )
+    if lengths:
+        problem = dataclasses.replace(problem, segment_ids=np.repeat(np.arange(len(lengths)), lengths))
     out, trace = ringsim.ring_attention(problem, mesh)
     reference = ringsim.exact_attention(problem)
     if args.dump_weights:

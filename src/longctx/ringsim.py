@@ -71,14 +71,13 @@ multiply-adds (a row block is then one query chunk) and each group gets
 two row blocks or more. Group g of G takes units g, g + G, ... in order;
 the calling thread runs group 0 and a per-call pool the rest. Bits cannot
 move: each query chunk meets the same slabs, and each row strip the same
-passes, as on one thread. The ring builds RingTrace, slab count included,
-from its schedule before the fold reads Q/K/V, so the trace depends on
-the segment ids, the causal flag, the mesh and d alone, and the fold only
-computes. Workers call only private helpers, so a wrapper around a
-public function (a tracer's, say) sees each call once, on the calling
-thread. exact_attention never holds an S x S array; attention_weights
-returns one, which ringsim --dump-weights writes as CSV only for
-S <= 3,213, while 26 x S x S bytes fit cli.MAX_DUMP_BYTES.
+passes, as on one thread. Each ring group streams only its own slabs and
+counts them as it folds; RingTrace's slab count is their sum, and its
+other counts come from the schedule. Workers call only private helpers,
+so a wrapper around a public function (a tracer's, say) sees each call
+once, on the calling thread. exact_attention never holds an S x S array;
+attention_weights returns one, which ringsim --dump-weights writes as CSV
+only for S <= 3,213, while 26 x S x S bytes fit cli.MAX_DUMP_BYTES.
 
 Memory is bounded before anything is allocated: random_problem refuses a
 problem whose Q/K/V plus a 256 x S oracle strip, the oracle's budget,
@@ -387,8 +386,8 @@ def _fold_schedule(lo: np.ndarray, hi: np.ndarray, mesh: RingMesh) -> tuple[np.n
     return row, widths, qi, ki, (flo[qi] <= ki) & (ki < fhi[qi])
 
 
-def _slabs(widths: list[int], cap: int):
-    """(b0, c0, ns) of each slab, in fold order: its first block, first state row and steps' widths.
+def _slabs(widths: list[int], cap: int, group: int, groups: int):
+    """(b0, c0, ns) of each of group's slabs, in fold order: its first block, first state row and steps' widths.
 
     widths[t] is how many state rows fold at step t; it never grows with t.
     A slab takes consecutive steps, each from state row c0 on, and ns[r]
@@ -396,17 +395,19 @@ def _slabs(widths: list[int], cap: int):
     Its (step x state row) grid, len(ns) x ns[0], holds at most cap cells,
     so at most cap blocks; a step wider than cap is cut into slabs of one
     step each. So every slab's rows lie in one row block, rows
-    [k * cap, (k + 1) * cap) with k = c0 // cap.
+    [k * cap, (k + 1) * cap) with k = c0 // cap; only row blocks group,
+    group + groups, ... are yielded, and a run of narrow steps is block 0.
     """
     t = b0 = 0
     while t < len(widths):
         w = widths[t]
         if w > cap:
-            yield from ((b0 + c0, c0, [min(cap, w - c0)]) for c0 in range(0, w, cap))
+            yield from ((b0 + c0, c0, [min(cap, w - c0)]) for c0 in range(group * cap, w, groups * cap))
             t, b0 = t + 1, b0 + w
         else:
             ns = widths[t : t + cap // w]
-            yield b0, 0, ns
+            if group == 0:
+                yield b0, 0, ns
             t, b0 = t + len(ns), b0 + sum(ns)
 
 
@@ -438,28 +439,25 @@ def _groups(units: int, scratch: int, budget: int) -> int:
 
 
 def _ring_groups(n_q: int, qc: int, kc: int, d: int) -> int:
-    """Worker groups for the ring's row blocks, _slab_cap query chunks each: two or more row blocks per group.
+    """Worker groups for the ring's row blocks, one query chunk each: two or more row blocks per group.
 
-    Only blocks of at least _THREADED_BLOCK_MACS multiply-adds are worth a thread; those never
-    share a slab, so a row block is one query chunk. Each group holds one slab at a time, so
-    the groups' slabs together stay within MAX_WORKING_SET_BYTES, one slab's admitted bound.
+    Only blocks of at least _THREADED_BLOCK_MACS multiply-adds are worth a thread. Such a block takes
+    at least 567,096 bytes by _block_bytes (AM-GM on 2qk + 3qd + 2kd), over half of _SLAB_BYTES, so it
+    is a slab and its query chunk a row block. Each group holds one slab at a time, so the groups'
+    slabs together stay within MAX_WORKING_SET_BYTES, one slab's admitted bound.
     """
     if qc * kc * d < _THREADED_BLOCK_MACS:
         return 1
-    slab = max(_SLAB_BYTES, _block_bytes(qc, kc, d))
-    return _groups(-(-n_q // _slab_cap(qc, kc, d)) // 2, slab, MAX_WORKING_SET_BYTES)
+    return _groups(n_q // 2, max(_SLAB_BYTES, _block_bytes(qc, kc, d)), MAX_WORKING_SET_BYTES)
 
 
-def _run_groups(task, groups: int) -> None:
-    """task(g) for g in range(groups): group 0 on the calling thread, the rest on a per-call pool."""
+def _run_groups(task, groups: int) -> list:
+    """[task(g) for g in range(groups)], in group order: group 0 on the calling thread, the rest on a per-call pool."""
     if groups == 1:
-        task(0)
-        return
+        return [task(0)]
     with ThreadPoolExecutor(groups - 1) as pool:
         futures = [pool.submit(task, g) for g in range(1, groups)]
-        task(0)
-        for future in futures:
-            future.result()
+        return [task(0), *(future.result() for future in futures)]
 
 
 def _rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -487,30 +485,20 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
     mesh.validate_for(p.seq_len)
     P, qc, kc, d = mesh.device_count, mesh.query_chunk, mesh.kv_chunk, p.head_dim
     n_q, n_kv = p.seq_len // qc, p.seq_len // kc
-    # The schedule and the trace come from the segment ids, the mesh and d alone. Slabs are counted,
-    # not listed: one causal document at S = 524,288 and 256/256 chunks makes 2.1M (385 MiB as tuples).
+    # The schedule comes from the segment ids and the mesh alone. Slabs are streamed, not listed:
+    # one causal document at S = 524,288 and 256/256 chunks makes 2.1M (385 MiB as tuples).
     lo, hi = _legal_keys(p.segment_ids, p.causal)
     row, widths, qi_all, ki_all, full = _fold_schedule(lo, hi, mesh)
     cap, steps = _slab_cap(qc, kc, d), widths.tolist()
-    trace = RingTrace(
-        device_count=P,
-        transfers=P * (P - 1),
-        blocks_visited=ki_all.size,
-        blocks_full=int(np.count_nonzero(full)),
-        blocks_skipped=n_q * n_kv - ki_all.size,
-        kernel_calls=sum(1 for _ in _slabs(steps, cap)),
-        fold_steps=widths.size,
-    )
     lo, hi = lo.reshape(n_q, qc, 1), hi.reshape(n_q, qc, 1)  # by query chunk, for the partial-block mask
 
     q, key, v = p.q.reshape(n_q, qc, d), p.k.reshape(n_kv, kc, d), p.v.reshape(n_kv, kc, d)
     m, state = np.full((n_q, qc), -np.inf), np.zeros((n_q, qc, d + 1))  # state: acc | l
     groups = _ring_groups(n_q, qc, kc, d)  # group g folds row blocks g, g + groups, ...
 
-    def fold(group: int) -> None:
-        for b0, c0, ns in _slabs(steps, cap):
-            if c0 // cap % groups != group:
-                continue
+    def fold(group: int) -> int:  # folds group's slabs, returns how many
+        slabs = 0
+        for slabs, (b0, c0, ns) in enumerate(_slabs(steps, cap, group, groups), 1):
             # Batched: scores, mask, running max, shift, alpha, exp, row sums and P.V of every block.
             w, blocks = ns[0], slice(b0, b0 + sum(ns))
             qi, ki = qi_all[blocks], ki_all[blocks]
@@ -558,8 +546,17 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
                 rec *= alpha[b : b + n]
                 rec += terms[b : b + n]
                 b += n
+        return slabs
 
-    _run_groups(fold, groups)
+    trace = RingTrace(
+        device_count=P,
+        transfers=P * (P - 1),
+        blocks_visited=ki_all.size,
+        blocks_full=int(np.count_nonzero(full)),
+        blocks_skipped=n_q * n_kv - ki_all.size,
+        kernel_calls=sum(_run_groups(fold, groups)),
+        fold_steps=widths.size,
+    )
     np.divide(state[..., :d], state[..., d:], out=state[..., :d])
     return state[row, :, :d].reshape(p.seq_len, d), trace
 

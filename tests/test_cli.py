@@ -125,6 +125,22 @@ class TestRingsim:
         assert code == 1
         check_schema("error", json.loads(captured.err))
 
+    @pytest.mark.parametrize(
+        "seq_len, chunk, segments",
+        [(32, 4, "10,10"), (32, 4, "32,0"), (32, 4, "16,x"), (129_536, 512, "129535")],
+    )
+    def test_bad_segments_fail_before_the_problem_is_drawn(self, capsys, seq_len, chunk, segments):
+        # 129,536 = 2^9 x 11 x 23 is near the longest S random_problem admits at d = 1, where it
+        # would allocate and draw three S x d float64 arrays before the list was read.
+        drawn = AssertionError("random_problem ran before --segments was checked")
+        with mock.patch.object(ringsim, "random_problem", side_effect=drawn):
+            error = run_domain_error(
+                capsys,
+                "ringsim", "--seq-len", str(seq_len), "--devices", "1", "--q-chunk", str(chunk),
+                "--kv-chunk", str(chunk), "--head-dim", "1", "--segments", segments,
+            )
+        assert error["type"] == "ValueError"
+
     def test_empty_sequence_is_domain_error(self, capsys):
         code = dispatch(
             ["--no-timestamp", "ringsim", "--seq-len", "0", "--devices", "1",

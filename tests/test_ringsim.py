@@ -5,6 +5,7 @@ loops over every key, softmax computed with math.exp, no shared code with
 the vectorized implementations it checks.
 """
 
+import contextlib
 import importlib.util
 import itertools
 import math
@@ -29,6 +30,7 @@ from longctx.ringsim import (
     _legal_keys,
     _live_ranges,
     _slab_cap,
+    _slabs,
     attention_weights,
     dosp_limits,
     exact_attention,
@@ -637,15 +639,38 @@ class TestInPlaceOracle:
             assert_bit_identical_to_per_pass_oracle(p)
 
 
+@contextlib.contextmanager
+def slabs_pulled():
+    """Patch ringsim._slabs to count what it yields: a list that gets each stream's slab count once it ends."""
+    pulled, stream = [], ringsim._slabs
+
+    def counting(*args):
+        n = 0
+        for n, slab in enumerate(stream(*args), 1):
+            yield slab
+        pulled.append(n)  # one append per stream: safe across worker threads
+
+    with mock.patch.object(ringsim, "_slabs", counting):
+        yield pulled
+
+
+@st.composite
+def slab_streams(draw):
+    """Non-increasing positive fold-step widths, a slab cap and a group count."""
+    widths = sorted(draw(st.lists(st.integers(1, 200), min_size=1, max_size=40)), reverse=True)
+    return widths, draw(st.integers(1, 64)), draw(st.integers(1, 4))
+
+
 class TestBatchedKernel:
     @settings(max_examples=60, deadline=None)
     @given(packed_ring_problems(), st.sampled_from(SLAB_BUDGETS))
     def test_bit_identical_to_one_block_per_call(self, case, budget):
         p, mesh = case
-        with mock.patch.object(ringsim, "_SLAB_BYTES", budget):
+        with mock.patch.object(ringsim, "_SLAB_BYTES", budget), slabs_pulled() as pulled:
             out, trace = ring_attention(p, mesh)
         assert np.array_equal(out, per_block_ring(p, mesh))
         assert 1 <= trace.kernel_calls <= trace.blocks_visited
+        assert sum(pulled) == trace.kernel_calls  # the slab stream is walked once, by the fold
 
     def test_few_slabs_at_one_token_chunks(self):
         # S = P: each device holds one token, and a slab scores up to _slab_cap(1, 1, 4) 1 x 1 blocks.
@@ -711,6 +736,21 @@ class TestBatchedKernel:
         out, trace = ring_attention(p, mesh)
         assert trace.fold_steps == S // kc and trace.kernel_calls == 2 * trace.fold_steps
         assert np.array_equal(out, per_block_ring(p, mesh))
+
+    @given(slab_streams())
+    def test_each_group_streams_only_its_own_row_blocks(self, case):
+        widths, cap, groups = case
+        whole = list(_slabs(widths, cap, 0, 1))
+        # One group's stream tiles every block once, in fold order.
+        assert [b0 for b0, _, _ in whole] == np.cumsum([0] + [sum(ns) for _, _, ns in whole])[:-1].tolist()
+        assert sum(sum(ns) for _, _, ns in whole) == sum(widths)
+        streams = [list(_slabs(widths, cap, g, groups)) for g in range(groups)]
+        for g, stream in enumerate(streams):
+            assert all(c0 // cap % groups == g for _, c0, _ in stream)
+        # Disjoint, and together the one-group stream: no block starts two slabs.
+        merged = sorted((slab for stream in streams for slab in stream), key=lambda slab: slab[0])
+        assert len({b0 for b0, _, _ in merged}) == len(merged)
+        assert merged == whole
 
     @pytest.mark.parametrize("P", [1, 3, 8])
     def test_lazy_schedule_equals_eager_list(self, P):
@@ -780,17 +820,19 @@ class TestWorkerGroups:
         # has, and a short switch interval hands the GIL over as often as it can.
         p, mesh = case
         with mock.patch.object(ringsim, "_SLAB_BYTES", budget):
-            with cpus(1):
+            with cpus(1), slabs_pulled() as alone_pulled:
                 alone, alone_trace = ring_attention(p, mesh)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                with cpus(n), mock.patch.object(ringsim, "_THREADED_BLOCK_MACS", 0):
+                with cpus(n), mock.patch.object(ringsim, "_THREADED_BLOCK_MACS", 0), slabs_pulled() as pulled:
                     out, trace = ring_attention(p, mesh)
             finally:
                 sys.setswitchinterval(interval)
         assert out.tobytes() == alone.tobytes() == per_block_ring(p, mesh).tobytes()
         assert trace == alone_trace
+        # Each group streams only its own slabs: all groups together pull each slab once.
+        assert sum(pulled) == sum(alone_pulled) == trace.kernel_calls
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -834,6 +876,15 @@ class TestWorkerGroups:
                     assert ringsim._ring_groups(S // qc, qc, kc, d) == (2 if big else 1)
                     split += big
         assert split == 134  # of 158 (mesh, d) pairs; the rest have 64 x 64 blocks, or 64 x 128 at d = 64
+
+    @given(st.integers(1, 1 << 13), st.integers(1, 1 << 13), st.integers(0, 1 << 10))
+    def test_threaded_blocks_are_one_block_slabs(self, qc, kc, extra):
+        # Every block worth a thread (d from the fewest that reach _THREADED_BLOCK_MACS on)
+        # takes over half of _SLAB_BYTES, so _ring_groups counts one query chunk a row block.
+        d = -(-ringsim._THREADED_BLOCK_MACS // (qc * kc)) + extra
+        assert qc * kc * d >= ringsim._THREADED_BLOCK_MACS
+        assert 2 * ringsim._block_bytes(qc, kc, d) > ringsim._SLAB_BYTES
+        assert _slab_cap(qc, kc, d) == 1
 
     def test_one_cpu_makes_no_pool(self):
         # A ring_long-like problem, which splits on two CPUs, run on one: no executor,
