@@ -54,30 +54,32 @@ call: every row folds its blocks in the same order, a max is exact in any
 order, and each block gets the same gemms, the same sums along its rows
 and the same elementwise steps as a lone block.
 
-Both routes fold independent units on worker threads where numpy's
-work, which runs without the GIL, outweighs the Python between its calls.
-_groups sizes both splits: one group per usable CPU, at most one per
-unit, each holding one unit's scratch at a time, and no more groups than
-the route's budget holds scratches. The oracle's unit is a row strip of
-_oracle_rows(S) rows (as many as _SLAB_BYTES holds at width S, from 64
-to 256 and at most S), its scratch one strip as wide as the widest span
-of the strips it walks, updated in place by every pass, and its budget
-the _ORACLE_ROWS x S strip random_problem admits, so it splits from
-S = 1024. The ring's unit is a row block of _slab_cap query chunks, which
-shares no state row with another, its scratch one slab's temporaries
-(_SLAB_BYTES or one block) and its budget MAX_WORKING_SET_BYTES; it
-splits only when one block's QK^T takes at least _THREADED_BLOCK_MACS
-multiply-adds (a row block is then one query chunk) and each group gets
-two row blocks or more. Group g of G takes units g, g + G, ... in order;
-the calling thread runs group 0 and a per-call pool the rest. Bits cannot
-move: each query chunk meets the same slabs, and each row strip the same
-passes, as on one thread. Each ring group streams only its own slabs and
-counts them as it folds; RingTrace's slab count is their sum, and its
-other counts come from the schedule. Workers call only private helpers,
-so a wrapper around a public function (a tracer's, say) sees each call
-once, on the calling thread. exact_attention never holds an S x S array;
-attention_weights returns one, which ringsim --dump-weights writes as CSV
-only for S <= 3,213, while 26 x S x S bytes fit cli.MAX_DUMP_BYTES.
+Both routes fold independent units on worker threads where numpy's work,
+which runs without the GIL, outweighs the Python between its calls, and
+only beside a BLAS that runs one thread: a threaded BLAS starts its own
+threads for each group's gemms, and the groups oversubscribe the CPUs.
+_groups sizes both splits: one group per usable CPU (_usable_cpus is 1
+beside a threaded BLAS), at most one per unit, each holding one unit's
+scratch at a time, and no more groups than the route's budget holds
+scratches. The oracle's unit is a row strip of _oracle_rows(S) rows (as
+many as _SLAB_BYTES holds at width S, from 64 to 256 and at most S), its
+scratch one strip as wide as the widest span of the strips it walks,
+updated in place by every pass, and its budget the _ORACLE_ROWS x S
+strip random_problem admits, so it splits from S = 1024. The ring's unit
+is a row block of _slab_cap query chunks, which shares no state row with
+another, its scratch one slab's temporaries (_SLAB_BYTES or one block)
+and its budget MAX_WORKING_SET_BYTES; it splits only when one block's
+QK^T takes at least _THREADED_BLOCK_MACS multiply-adds (a row block is
+then one query chunk) and each group gets two row blocks or more.
+Group g of G takes units g, g + G, ... in order; the calling thread runs
+group 0 and a per-call pool the rest. Bits cannot move: each query chunk
+meets the same slabs, and each row strip the same passes, as on one
+thread. Each ring group streams only its own slabs. Workers call only
+private helpers, so a wrapper around a public function (a tracer's, say)
+sees each call once, on the calling thread. exact_attention never holds
+an S x S array; attention_weights returns one, which
+ringsim --dump-weights writes as CSV only for S <= 3,213, while
+26 x S x S bytes fit cli.MAX_DUMP_BYTES.
 
 Memory is bounded before anything is allocated: random_problem refuses a
 problem whose Q/K/V plus a 256 x S oracle strip, the oracle's budget,
@@ -122,6 +124,10 @@ _SLAB_BYTES = 1 << 20  # bytes of one ring slab's temporaries, in blocks of at l
 # to fold on worker threads: from there on a slab's numpy work, which runs without
 # the GIL, outweighs the Python between its calls, which holds it.
 _THREADED_BLOCK_MACS = 1 << 20
+# numpy's BLAS runs one thread when some of these are set and every one set reads 1. They
+# are read once, at import, as BLAS reads them when numpy loads.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_ONE_BLAS_THREAD = {os.environ.get(var) for var in _BLAS_THREAD_VARS} - {None} == {"1"}
 # Size bounds, checked before anything sized by S is allocated. The oracle
 # holds one strip and its edge masks at once and the ring schedule a few
 # int32s per live block, so a run near either bound needs a few hundred MiB.
@@ -212,26 +218,15 @@ class RingStep:
     kv_origin: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class RingTrace:
-    """Rotation schedule, the peer-to-peer transfer counter and block counts.
-
-    blocks_visited counts the (query chunk x KV chunk) blocks folded into
-    the running state, blocks_full the visited blocks that needed no mask
-    and blocks_skipped the empty ones; visited + skipped is P^2 * nq * nkv.
-    kernel_calls counts the slabs, the batched calls that scored them, and
-    fold_steps the sequential steps of the online-softmax recurrences: the
-    most live blocks of any query chunk. The mesh it traces has passed
-    memplan.ChunkPlan's layout check, so every count is over whole chunks.
-    """
+    """The ring's rotation schedule and peer-to-peer transfers, both closed forms of its device count P."""
 
     device_count: int
-    transfers: int = 0
-    blocks_visited: int = 0
-    blocks_full: int = 0
-    blocks_skipped: int = 0
-    kernel_calls: int = 0
-    fold_steps: int = 0
+
+    @property
+    def transfers(self) -> int:
+        return self.device_count * (self.device_count - 1)
 
     @property
     def steps(self) -> list[RingStep]:
@@ -423,7 +418,9 @@ def _slab_cap(qc: int, kc: int, d: int) -> int:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS keeps one, else every CPU."""
+    """CPUs for worker groups: 1 beside a threaded BLAS, which they would oversubscribe, else all the process may use."""
+    if not _ONE_BLAS_THREAD:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this OS
@@ -433,7 +430,7 @@ def _usable_cpus() -> int:
 def _groups(units: int, scratch: int, budget: int) -> int:
     """Worker groups for units independent pieces of work, each group holding one scratch buffer at a time.
 
-    One group per usable CPU, at most one per unit, and no more buffers than budget holds.
+    One group per usable CPU (one beside a threaded BLAS), at most one per unit, and no more buffers than budget holds.
     """
     return max(1, min(units, _usable_cpus(), budget // scratch))
 
@@ -474,13 +471,10 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
     running online-softmax state of its query rows, then passes it along.
     After P steps every device has seen every KV partition exactly once and
     its rows are finalized. Each of the P-1 rotations moves P KV blocks, so
-    the trace counts P * (P - 1) peer-to-peer transfers.
+    the trace gives P * (P - 1) peer-to-peer transfers.
 
     Only live blocks are folded, by fold step and in slabs (see the module
-    docstring for the order and bit-identity). Every block lies in exactly
-    one (device, kv_origin) pair, so the trace's block counts sum to
-    P^2 * nq * nkv, with nq and nkv the query and KV chunks per device
-    partition.
+    docstring for the order and bit-identity).
     """
     mesh.validate_for(p.seq_len)
     P, qc, kc, d = mesh.device_count, mesh.query_chunk, mesh.kv_chunk, p.head_dim
@@ -496,9 +490,8 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
     m, state = np.full((n_q, qc), -np.inf), np.zeros((n_q, qc, d + 1))  # state: acc | l
     groups = _ring_groups(n_q, qc, kc, d)  # group g folds row blocks g, g + groups, ...
 
-    def fold(group: int) -> int:  # folds group's slabs, returns how many
-        slabs = 0
-        for slabs, (b0, c0, ns) in enumerate(_slabs(steps, cap, group, groups), 1):
+    def fold(group: int) -> None:
+        for b0, c0, ns in _slabs(steps, cap, group, groups):
             # Batched: scores, mask, running max, shift, alpha, exp, row sums and P.V of every block.
             w, blocks = ns[0], slice(b0, b0 + sum(ns))
             qi, ki = qi_all[blocks], ki_all[blocks]
@@ -546,19 +539,10 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
                 rec *= alpha[b : b + n]
                 rec += terms[b : b + n]
                 b += n
-        return slabs
 
-    trace = RingTrace(
-        device_count=P,
-        transfers=P * (P - 1),
-        blocks_visited=ki_all.size,
-        blocks_full=int(np.count_nonzero(full)),
-        blocks_skipped=n_q * n_kv - ki_all.size,
-        kernel_calls=sum(_run_groups(fold, groups)),
-        fold_steps=widths.size,
-    )
+    _run_groups(fold, groups)
     np.divide(state[..., :d], state[..., d:], out=state[..., :d])
-    return state[row, :, :d].reshape(p.seq_len, d), trace
+    return state[row, :, :d].reshape(p.seq_len, d), RingTrace(P)
 
 
 def dosp_limits(kv_heads: int, devices: int) -> DospLimits:

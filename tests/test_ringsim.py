@@ -6,9 +6,12 @@ the vectorized implementations it checks.
 """
 
 import contextlib
+import dataclasses
 import importlib.util
 import itertools
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -26,6 +29,7 @@ from longctx.ringsim import (
     AttentionProblem,
     RingMesh,
     RingStep,
+    RingTrace,
     _fold_schedule,
     _legal_keys,
     _live_ranges,
@@ -73,6 +77,17 @@ def classify_blocks(p: AttentionProblem, query_chunk: int, kv_chunk: int):
     lo, hi, flo, fhi = (a[:, None] for a in _live_ranges(*_legal_keys(p.segment_ids, p.causal), query_chunk, kv_chunk))
     k = np.arange(p.seq_len // kv_chunk)
     return (lo <= k) & (k < hi), (flo <= k) & (k < fhi)
+
+
+def fold_schedule(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, ...]:
+    """(row, widths, qi, ki, full): p's live blocks in fold-step order, as ring_attention folds them."""
+    return _fold_schedule(*_legal_keys(p.segment_ids, p.causal), mesh)
+
+
+def slab_count(p: AttentionProblem, mesh: RingMesh) -> int:
+    """Slabs in p's one-group slab stream on mesh, at the _SLAB_BYTES in force."""
+    cap = _slab_cap(mesh.query_chunk, mesh.kv_chunk, p.head_dim)
+    return sum(1 for _ in _slabs(fold_schedule(p, mesh)[1].tolist(), cap, 0, 1))
 
 
 def blockwise_attention(p: AttentionProblem, query_chunk: int, kv_chunk: int) -> np.ndarray:
@@ -393,6 +408,15 @@ class TestRing:
         for s in trace.steps:
             assert s.kv_origin == (s.device - s.step) % P
 
+    def test_trace_is_the_device_count(self):
+        # The trace holds P alone; its transfers and its schedule are closed forms of P.
+        assert [f.name for f in dataclasses.fields(RingTrace)] == ["device_count"]
+        for P in (1, 2, 5):
+            _, trace = ring_attention(two_segment_problem(20, 2, seed=P), RingMesh(P, 2, 2))
+            assert trace == RingTrace(P) and trace.transfers == P * (P - 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.device_count = 4
+
     def test_invalid_mesh_rejected(self):
         # The messages are memplan.ChunkPlan's: the mesh's layout rule is written there only.
         p = two_segment_problem(32, 4)
@@ -466,12 +490,13 @@ class TestBlockClassification:
         assert np.array_equal(live, blocks.any(axis=(2, 3)))  # empty <=> no legal pair
         assert np.array_equal(full, blocks.all(axis=(2, 3)))  # full <=> every pair legal
 
-        out, trace = ring_attention(p, mesh)
-        nq, nkv = S // mesh.device_count // qc, S // mesh.device_count // kc
-        assert trace.blocks_visited + trace.blocks_skipped == mesh.device_count**2 * nq * nkv
-        assert trace.blocks_visited == np.count_nonzero(live)
-        assert trace.blocks_full == np.count_nonzero(full)
-        assert max_rel_error(out, exact_attention(p)) < 1e-6
+        # The ring folds the schedule's blocks: every live block once, with its full flag.
+        _, _, qi, ki, scheduled_full = fold_schedule(p, mesh)
+        assert ki.size == np.count_nonzero(live)
+        assert np.count_nonzero(scheduled_full) == np.count_nonzero(full)
+        assert sorted(zip(qi.tolist(), ki.tolist())) == list(zip(*(a.tolist() for a in np.nonzero(live))))
+        assert np.array_equal(scheduled_full, full[qi, ki])
+        assert max_rel_error(ring_attention(p, mesh)[0], exact_attention(p)) < 1e-6
 
     def test_every_small_segmentation_and_chunking(self):
         # Exhaustive where hypothesis samples: every cut set of S = 1..8, every
@@ -512,11 +537,11 @@ class TestBlockClassification:
             divisors = [c for c in range(1, per_device + 1) if per_device % c == 0]
             qc, kc = (int(c) for c in rng.choice(divisors, size=2))
             p = random_problem(P * per_device, 2, rng)
-            _, trace = ring_attention(p, RingMesh(P, qc, kc))
+            _, _, _, ki, full = fold_schedule(p, RingMesh(P, qc, kc))
             counts = ringcounts.problem_counts(p.segment_ids, P, qc, kc, p.head_dim)
-            assert trace.blocks_visited == counts["blocks_live"]
-            assert trace.blocks_full == counts["blocks_full"]
-            assert trace.blocks_visited + trace.blocks_skipped == counts["blocks_visited"]
+            assert ki.size == counts["blocks_live"]
+            assert np.count_nonzero(full) == counts["blocks_full"]
+            assert (p.seq_len // qc) * (p.seq_len // kc) == counts["blocks_visited"]  # live or skipped
 
     @given(ring_layouts())
     def test_interval_mask_matches_pairwise_reference(self, layout):
@@ -539,10 +564,10 @@ class TestBlockClassification:
         # Two 8-token documents in 2-token chunks: each document's 4 x 4
         # chunk grid has 10 live blocks on and below the diagonal, of which
         # the 6 strictly below need no mask; the other 44 blocks are empty.
-        p = two_segment_problem(16, 4, seed=17)
-        out, trace = ring_attention(p, RingMesh(4, 2, 2))
-        assert (trace.blocks_visited, trace.blocks_full, trace.blocks_skipped) == (20, 12, 44)
-        assert max_rel_error(out, exact_attention(p)) < 1e-6
+        p, mesh = two_segment_problem(16, 4, seed=17), RingMesh(4, 2, 2)
+        _, _, _, ki, full = fold_schedule(p, mesh)
+        assert (ki.size, np.count_nonzero(full), 8 * 8 - ki.size) == (20, 12, 44)
+        assert max_rel_error(ring_attention(p, mesh)[0], exact_attention(p)) < 1e-6
 
 
 def per_block_ring(p: AttentionProblem, mesh: RingMesh) -> np.ndarray:
@@ -667,18 +692,20 @@ class TestBatchedKernel:
     def test_bit_identical_to_one_block_per_call(self, case, budget):
         p, mesh = case
         with mock.patch.object(ringsim, "_SLAB_BYTES", budget), slabs_pulled() as pulled:
-            out, trace = ring_attention(p, mesh)
+            out, _ = ring_attention(p, mesh)
+            slabs = slab_count(p, mesh)
         assert np.array_equal(out, per_block_ring(p, mesh))
-        assert 1 <= trace.kernel_calls <= trace.blocks_visited
-        assert sum(pulled) == trace.kernel_calls  # the slab stream is walked once, by the fold
+        assert 1 <= sum(pulled) <= fold_schedule(p, mesh)[3].size
+        assert sum(pulled) == slabs  # the slab stream is walked once, by the fold
 
     def test_few_slabs_at_one_token_chunks(self):
         # S = P: each device holds one token, and a slab scores up to _slab_cap(1, 1, 4) 1 x 1 blocks.
         P = 256
-        p = random_problem(P, 4, np.random.default_rng(21))
-        out, trace = ring_attention(p, RingMesh(P, 1, 1))
-        assert trace.kernel_calls <= 2 * P
-        assert trace.blocks_visited == np.count_nonzero(classify_blocks(p, 1, 1)[0])
+        p, mesh = random_problem(P, 4, np.random.default_rng(21)), RingMesh(P, 1, 1)
+        with slabs_pulled() as pulled:
+            out, _ = ring_attention(p, mesh)
+        assert sum(pulled) <= 2 * P
+        assert fold_schedule(p, mesh)[3].size == np.count_nonzero(classify_blocks(p, 1, 1)[0])
         assert max_rel_error(out, exact_attention(p)) < 1e-6
 
     @given(ring_layouts())
@@ -693,14 +720,15 @@ class TestBatchedKernel:
             for i in range(S)
         ])
         live = legal.reshape(S // qc, qc, S // kc, kc).any(axis=(1, 3))
-        _, trace = ring_attention(p, mesh)
-        assert trace.fold_steps == live.sum(axis=1).max()
-        assert trace.fold_steps == classify_blocks(p, qc, kc)[0].sum(axis=1).max()
-        assert trace.fold_steps <= trace.blocks_visited
+        _, widths, qi, ki, _ = fold_schedule(p, mesh)  # blocks by (fold step, state row)
+        assert widths.size == live.sum(axis=1).max()
+        assert widths.size == classify_blocks(p, qc, kc)[0].sum(axis=1).max()
+        assert widths.size <= ki.size
+        # Step t folds every query chunk with more than t live blocks.
+        assert widths.tolist() == [np.count_nonzero(live.sum(axis=1) > t) for t in range(widths.size)]
         # Each query chunk folds its live KV chunks by ring step, (dq - dk) mod P, then by KV chunk.
         P = mesh.device_count
         nq, nkv = S // qc // P, S // kc // P
-        _, _, qi, ki, _ = _fold_schedule(*_legal_keys(p.segment_ids, p.causal), mesh)  # by (fold step, state row)
         for c in range(S // qc):
             ring_order = sorted(np.flatnonzero(live[c]), key=lambda k: ((c // nq - k // nkv) % P, k))
             assert ki[qi == c].tolist() == ring_order
@@ -709,15 +737,16 @@ class TestBatchedKernel:
         # A slab holds _slab_cap(16, 16, 64) blocks. One causal document over about
         # 1.4 slabs' worth of query chunks: its early fold steps fold more query
         # chunks than a slab holds, so each is cut across two slabs. A slab
-        # holding whole steps only would give kernel_calls <= fold_steps.
+        # holding whole steps only would give no more slabs than fold steps.
         qc = kc = 16
         per_slab = _slab_cap(qc, kc, 64)
         S = 4 * qc * (3 * per_slab // 8)
         p = random_problem(S, 64, np.random.default_rng(23), num_segments=1)
         mesh = RingMesh(4, qc, kc)
-        out, trace = ring_attention(p, mesh)
+        with slabs_pulled() as pulled:
+            out, _ = ring_attention(p, mesh)
         assert S // qc > per_slab
-        assert trace.kernel_calls > trace.fold_steps == S // qc
+        assert sum(pulled) > fold_schedule(p, mesh)[1].size == S // qc
         assert np.array_equal(out, per_block_ring(p, mesh))
 
     def test_carried_max_seeds_a_slab_that_starts_mid_step(self):
@@ -733,8 +762,10 @@ class TestBatchedKernel:
             v=rng.standard_normal((S, 64)), segment_ids=np.zeros(S, dtype=np.int64), causal=False,
         )
         mesh = RingMesh(2, qc, kc)
-        out, trace = ring_attention(p, mesh)
-        assert trace.fold_steps == S // kc and trace.kernel_calls == 2 * trace.fold_steps
+        with slabs_pulled() as pulled:
+            out, _ = ring_attention(p, mesh)
+        fold_steps = fold_schedule(p, mesh)[1].size
+        assert fold_steps == S // kc and sum(pulled) == 2 * fold_steps
         assert np.array_equal(out, per_block_ring(p, mesh))
 
     @given(slab_streams())
@@ -766,19 +797,87 @@ class TestBatchedKernel:
             q=rng.standard_normal((S, d)), k=rng.standard_normal((S, d)), v=rng.standard_normal((S, d)),
             segment_ids=np.zeros(S, dtype=np.int64), causal=False,
         )
+        mesh = RingMesh(8, 2, 2)
         tracemalloc.start()
         try:
-            _, trace = ring_attention(p, RingMesh(8, 2, 2))
+            ring_attention(p, mesh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert trace.blocks_visited == trace.blocks_full == 1 << 20
+        _, _, _, ki, full = fold_schedule(p, mesh)
+        assert ki.size == np.count_nonzero(full) == 1 << 20
         assert peak < 32 * 2**20  # 22.4 MiB measured
 
 
 def cpus(n: int):
     """Patch the CPUs ringsim may use to n."""
     return mock.patch.object(ringsim, "_usable_cpus", lambda: n)
+
+
+@contextlib.contextmanager
+def pinned_blas(n: int):
+    """A one-thread BLAS, as ringsim reads perfbench's setting at import, and an affinity mask of n CPUs."""
+    with (
+        mock.patch.object(ringsim, "_ONE_BLAS_THREAD", True),
+        mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True),
+    ):
+        yield
+
+
+def perfbench_blas_setting() -> dict:
+    """The BLAS variables perfbench/run.py sets for its workers: each of its BLAS_THREAD_VARS at 1."""
+    path = Path(__file__).parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return {var: "1" for var in run.BLAS_THREAD_VARS}
+
+
+def read_at_import(blas: dict) -> tuple[bool, int]:
+    """ringsim's one-thread BLAS reading and _usable_cpus() in a fresh interpreter where blas sets the BLAS variables."""
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = str(Path(ringsim.__file__).resolve().parents[1])
+    code = "from longctx import ringsim; print(ringsim._ONE_BLAS_THREAD, ringsim._usable_cpus())"
+    proc = subprocess.run([sys.executable, "-c", code], env={**env, **blas}, capture_output=True, text=True, check=True)
+    one_thread, usable = proc.stdout.split()
+    return one_thread == "True", int(usable)
+
+
+class TestUsableCpus:
+    """Worker groups get every CPU the process may use beside a one-thread BLAS, and one beside a threaded BLAS."""
+
+    def test_affinity_mask_size(self):
+        with pinned_blas(3):
+            assert ringsim._usable_cpus() == 3
+
+    @pytest.mark.parametrize("count, usable", [(6, 6), (None, 1)])
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, count, usable):
+        monkeypatch.setattr(ringsim, "_ONE_BLAS_THREAD", True)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert ringsim._usable_cpus() == usable
+
+    def test_threaded_blas_takes_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(ringsim, "_ONE_BLAS_THREAD", False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert ringsim._usable_cpus() == 1
+
+    @pytest.mark.parametrize(
+        "blas, one_thread",
+        [
+            (perfbench_blas_setting(), True),
+            ({}, False),
+            ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+            ({"MKL_NUM_THREADS": "1"}, True),
+            ({"OMP_NUM_THREADS": ""}, False),
+        ],
+        ids=["perfbench", "none-set", "openblas-4-omp-1", "mkl-1", "omp-empty"],
+    )
+    def test_blas_setting_is_read_at_import(self, blas, one_thread):
+        # One thread when some variable is set and every one set reads 1; the mask's CPUs then.
+        mask = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        assert read_at_import(blas) == (one_thread, mask if one_thread else 1)
 
 
 def oracle_groups(S: int) -> int:
@@ -820,6 +919,7 @@ class TestWorkerGroups:
         # has, and a short switch interval hands the GIL over as often as it can.
         p, mesh = case
         with mock.patch.object(ringsim, "_SLAB_BYTES", budget):
+            slabs = slab_count(p, mesh)
             with cpus(1), slabs_pulled() as alone_pulled:
                 alone, alone_trace = ring_attention(p, mesh)
             interval = sys.getswitchinterval()
@@ -832,7 +932,7 @@ class TestWorkerGroups:
         assert out.tobytes() == alone.tobytes() == per_block_ring(p, mesh).tobytes()
         assert trace == alone_trace
         # Each group streams only its own slabs: all groups together pull each slab once.
-        assert sum(pulled) == sum(alone_pulled) == trace.kernel_calls
+        assert sum(pulled) == sum(alone_pulled) == slabs
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -856,26 +956,29 @@ class TestWorkerGroups:
 
     def test_sweep_and_toolkit_shapes_take_one_group(self):
         # Acceptance-sweep (head_dim 2-32) and toolkit ringsim (8, 16, 32) shapes keep
-        # one group and one strip walk however many CPUs the host has.
+        # one group and one strip walk however many CPUs the host has, BLAS pinned or not.
         toolkit = [(128, 4, 4, 8), (256, 4, 8, 8), (192, 2, 8, 12), (256, 8, 4, 16)]
-        with cpus(64):
-            for S, P, qc, kc in [*criterion3_meshes(), *toolkit]:
-                assert oracle_groups(S) == 1
-                assert all(ringsim._ring_groups(S // qc, qc, kc, d) == 1 for d in range(2, 33))
+        for host in (cpus, pinned_blas):
+            with host(64):
+                for S, P, qc, kc in [*criterion3_meshes(), *toolkit]:
+                    assert oracle_groups(S) == 1
+                    assert all(ringsim._ring_groups(S // qc, qc, kc, d) == 1 for d in range(2, 33))
 
     def test_large_blocks_split(self):
         # A block at or past _THREADED_BLOCK_MACS is a slab, and so a row block, of its own.
-        # The large-block shapes split wherever their blocks reach it, and the oracle from S = 1024.
-        split = 0
-        with cpus(2):
-            for S, P, qc, kc in ring_long_meshes():
-                assert oracle_groups(S) == 2
-                for d in (64, 128):
-                    big = qc * kc * d >= ringsim._THREADED_BLOCK_MACS
-                    assert not big or _slab_cap(qc, kc, d) == 1
-                    assert ringsim._ring_groups(S // qc, qc, kc, d) == (2 if big else 1)
-                    split += big
-        assert split == 134  # of 158 (mesh, d) pairs; the rest have 64 x 64 blocks, or 64 x 128 at d = 64
+        # The large-block shapes split wherever their blocks reach it, and the oracle from S = 1024:
+        # on two usable CPUs, and on a two-CPU host beside perfbench's pinned BLAS.
+        for host in (cpus, pinned_blas):
+            split = 0
+            with host(2):
+                for S, P, qc, kc in ring_long_meshes():
+                    assert oracle_groups(S) == 2
+                    for d in (64, 128):
+                        big = qc * kc * d >= ringsim._THREADED_BLOCK_MACS
+                        assert not big or _slab_cap(qc, kc, d) == 1
+                        assert ringsim._ring_groups(S // qc, qc, kc, d) == (2 if big else 1)
+                        split += big
+            assert split == 134  # of 158 (mesh, d) pairs; the rest have 64 x 64 blocks, or 64 x 128 at d = 64
 
     @given(st.integers(1, 1 << 13), st.integers(1, 1 << 13), st.integers(0, 1 << 10))
     def test_threaded_blocks_are_one_block_slabs(self, qc, kc, extra):
