@@ -54,32 +54,29 @@ call: every row folds its blocks in the same order, a max is exact in any
 order, and each block gets the same gemms, the same sums along its rows
 and the same elementwise steps as a lone block.
 
-Both routes fold independent units on worker threads where numpy's work,
-which runs without the GIL, outweighs the Python between its calls, and
-only beside a BLAS that runs one thread: a threaded BLAS starts its own
-threads for each group's gemms, and the groups oversubscribe the CPUs.
-_groups sizes both splits: one group per usable CPU (_usable_cpus is 1
-beside a threaded BLAS), at most one per unit, each holding one unit's
-scratch at a time, and no more groups than the route's budget holds
-scratches. The oracle's unit is a row strip of _oracle_rows(S) rows (as
-many as _SLAB_BYTES holds at width S, from 64 to 256 and at most S), its
-scratch one strip as wide as the widest span of the strips it walks,
-updated in place by every pass, and its budget the _ORACLE_ROWS x S
-strip random_problem admits, so it splits from S = 1024. The ring's unit
-is a row block of _slab_cap query chunks, which shares no state row with
-another, its scratch one slab's temporaries (_SLAB_BYTES or one block)
-and its budget MAX_WORKING_SET_BYTES; it splits only when one block's
-QK^T takes at least _THREADED_BLOCK_MACS multiply-adds (a row block is
-then one query chunk) and each group gets two row blocks or more.
-Group g of G takes units g, g + G, ... in order; the calling thread runs
-group 0 and a per-call pool the rest. Bits cannot move: each query chunk
-meets the same slabs, and each row strip the same passes, as on one
-thread. Each ring group streams only its own slabs. Workers call only
-private helpers, so a wrapper around a public function (a tracer's, say)
-sees each call once, on the calling thread. exact_attention never holds
-an S x S array; attention_weights returns one, which
-ringsim --dump-weights writes as CSV only for S <= 3,213, while
-26 x S x S bytes fit cli.MAX_DUMP_BYTES.
+Both routes fold independent units on worker threads where numpy's
+work, which runs without the GIL, outweighs the Python between its calls.
+_groups sizes both splits: one group per usable CPU, at most one per
+unit, each holding one unit's scratch at a time, and no more groups than
+the route's budget holds scratches. The oracle's unit is a row strip of
+_oracle_rows(S) rows (as many as _SLAB_BYTES holds at width S, from 64
+to 256 and at most S), its scratch one strip as wide as the widest span
+of the strips it walks, updated in place by every pass, and its budget
+the _ORACLE_ROWS x S strip random_problem admits, so it splits from
+S = 1024. The ring's unit is a row block of _slab_cap query chunks, which
+shares no state row with another, its scratch one slab's temporaries
+(_SLAB_BYTES or one block) and its budget MAX_WORKING_SET_BYTES; it
+splits only when one block's QK^T takes at least _THREADED_BLOCK_MACS
+multiply-adds (a row block is then one query chunk) and each group gets
+two row blocks or more. Group g of G takes units g, g + G, ... in order;
+the calling thread runs group 0 and a per-call pool the rest. Bits cannot
+move: each query chunk meets the same slabs, and each row strip the same
+passes, as on one thread. Each ring group streams only its own slabs.
+Workers call only private helpers, so a wrapper around a public function
+(a tracer's, say) sees each call once, on the calling thread.
+exact_attention never holds an S x S array; attention_weights returns
+one, which ringsim --dump-weights writes as CSV only for S <= 3,213,
+while 26 x S x S bytes fit cli.MAX_DUMP_BYTES.
 
 Memory is bounded before anything is allocated: random_problem refuses a
 problem whose Q/K/V plus a 256 x S oracle strip, the oracle's budget,
@@ -124,10 +121,6 @@ _SLAB_BYTES = 1 << 20  # bytes of one ring slab's temporaries, in blocks of at l
 # to fold on worker threads: from there on a slab's numpy work, which runs without
 # the GIL, outweighs the Python between its calls, which holds it.
 _THREADED_BLOCK_MACS = 1 << 20
-# numpy's BLAS runs one thread when some of these are set and every one set reads 1. They
-# are read once, at import, as BLAS reads them when numpy loads.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_ONE_BLAS_THREAD = {os.environ.get(var) for var in _BLAS_THREAD_VARS} - {None} == {"1"}
 # Size bounds, checked before anything sized by S is allocated. The oracle
 # holds one strip and its edge masks at once and the ring schedule a few
 # int32s per live block, so a run near either bound needs a few hundred MiB.
@@ -418,9 +411,7 @@ def _slab_cap(qc: int, kc: int, d: int) -> int:
 
 
 def _usable_cpus() -> int:
-    """CPUs for worker groups: 1 beside a threaded BLAS, which they would oversubscribe, else all the process may use."""
-    if not _ONE_BLAS_THREAD:
-        return 1
+    """CPUs this process may run on: its affinity mask where the OS keeps one, else every CPU."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this OS
@@ -430,7 +421,7 @@ def _usable_cpus() -> int:
 def _groups(units: int, scratch: int, budget: int) -> int:
     """Worker groups for units independent pieces of work, each group holding one scratch buffer at a time.
 
-    One group per usable CPU (one beside a threaded BLAS), at most one per unit, and no more buffers than budget holds.
+    One group per usable CPU, at most one per unit, and no more buffers than budget holds.
     """
     return max(1, min(units, _usable_cpus(), budget // scratch))
 
@@ -448,13 +439,16 @@ def _ring_groups(n_q: int, qc: int, kc: int, d: int) -> int:
     return _groups(n_q // 2, max(_SLAB_BYTES, _block_bytes(qc, kc, d)), MAX_WORKING_SET_BYTES)
 
 
-def _run_groups(task, groups: int) -> list:
-    """[task(g) for g in range(groups)], in group order: group 0 on the calling thread, the rest on a per-call pool."""
+def _run_groups(task, groups: int) -> None:
+    """task(g) for g in range(groups): group 0 on the calling thread, the rest on a per-call pool."""
     if groups == 1:
-        return [task(0)]
+        task(0)
+        return
     with ThreadPoolExecutor(groups - 1) as pool:
         futures = [pool.submit(task, g) for g in range(1, groups)]
-        return [task(0), *(future.result() for future in futures)]
+        task(0)
+        for future in futures:
+            future.result()
 
 
 def _rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ import importlib.util
 import itertools
 import math
 import os
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -814,70 +813,18 @@ def cpus(n: int):
     return mock.patch.object(ringsim, "_usable_cpus", lambda: n)
 
 
-@contextlib.contextmanager
-def pinned_blas(n: int):
-    """A one-thread BLAS, as ringsim reads perfbench's setting at import, and an affinity mask of n CPUs."""
-    with (
-        mock.patch.object(ringsim, "_ONE_BLAS_THREAD", True),
-        mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True),
-    ):
-        yield
-
-
-def perfbench_blas_setting() -> dict:
-    """The BLAS variables perfbench/run.py sets for its workers: each of its BLAS_THREAD_VARS at 1."""
-    path = Path(__file__).parent.parent / "perfbench" / "run.py"
-    spec = importlib.util.spec_from_file_location("perfbench_run", path)
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    return {var: "1" for var in run.BLAS_THREAD_VARS}
-
-
-def read_at_import(blas: dict) -> tuple[bool, int]:
-    """ringsim's one-thread BLAS reading and _usable_cpus() in a fresh interpreter where blas sets the BLAS variables."""
-    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in unset}
-    env["PYTHONPATH"] = str(Path(ringsim.__file__).resolve().parents[1])
-    code = "from longctx import ringsim; print(ringsim._ONE_BLAS_THREAD, ringsim._usable_cpus())"
-    proc = subprocess.run([sys.executable, "-c", code], env={**env, **blas}, capture_output=True, text=True, check=True)
-    one_thread, usable = proc.stdout.split()
-    return one_thread == "True", int(usable)
-
-
 class TestUsableCpus:
-    """Worker groups get every CPU the process may use beside a one-thread BLAS, and one beside a threaded BLAS."""
+    """Worker groups get every CPU the process may use: its affinity mask, else os.cpu_count()."""
 
-    def test_affinity_mask_size(self):
-        with pinned_blas(3):
-            assert ringsim._usable_cpus() == 3
+    def test_affinity_mask_size(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+        assert ringsim._usable_cpus() == 3
 
     @pytest.mark.parametrize("count, usable", [(6, 6), (None, 1)])
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch, count, usable):
-        monkeypatch.setattr(ringsim, "_ONE_BLAS_THREAD", True)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         assert ringsim._usable_cpus() == usable
-
-    def test_threaded_blas_takes_one_cpu(self, monkeypatch):
-        monkeypatch.setattr(ringsim, "_ONE_BLAS_THREAD", False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        assert ringsim._usable_cpus() == 1
-
-    @pytest.mark.parametrize(
-        "blas, one_thread",
-        [
-            (perfbench_blas_setting(), True),
-            ({}, False),
-            ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
-            ({"MKL_NUM_THREADS": "1"}, True),
-            ({"OMP_NUM_THREADS": ""}, False),
-        ],
-        ids=["perfbench", "none-set", "openblas-4-omp-1", "mkl-1", "omp-empty"],
-    )
-    def test_blas_setting_is_read_at_import(self, blas, one_thread):
-        # One thread when some variable is set and every one set reads 1; the mask's CPUs then.
-        mask = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        assert read_at_import(blas) == (one_thread, mask if one_thread else 1)
 
 
 def oracle_groups(S: int) -> int:
@@ -956,29 +903,26 @@ class TestWorkerGroups:
 
     def test_sweep_and_toolkit_shapes_take_one_group(self):
         # Acceptance-sweep (head_dim 2-32) and toolkit ringsim (8, 16, 32) shapes keep
-        # one group and one strip walk however many CPUs the host has, BLAS pinned or not.
+        # one group and one strip walk however many CPUs the host has.
         toolkit = [(128, 4, 4, 8), (256, 4, 8, 8), (192, 2, 8, 12), (256, 8, 4, 16)]
-        for host in (cpus, pinned_blas):
-            with host(64):
-                for S, P, qc, kc in [*criterion3_meshes(), *toolkit]:
-                    assert oracle_groups(S) == 1
-                    assert all(ringsim._ring_groups(S // qc, qc, kc, d) == 1 for d in range(2, 33))
+        with cpus(64):
+            for S, P, qc, kc in [*criterion3_meshes(), *toolkit]:
+                assert oracle_groups(S) == 1
+                assert all(ringsim._ring_groups(S // qc, qc, kc, d) == 1 for d in range(2, 33))
 
     def test_large_blocks_split(self):
         # A block at or past _THREADED_BLOCK_MACS is a slab, and so a row block, of its own.
-        # The large-block shapes split wherever their blocks reach it, and the oracle from S = 1024:
-        # on two usable CPUs, and on a two-CPU host beside perfbench's pinned BLAS.
-        for host in (cpus, pinned_blas):
-            split = 0
-            with host(2):
-                for S, P, qc, kc in ring_long_meshes():
-                    assert oracle_groups(S) == 2
-                    for d in (64, 128):
-                        big = qc * kc * d >= ringsim._THREADED_BLOCK_MACS
-                        assert not big or _slab_cap(qc, kc, d) == 1
-                        assert ringsim._ring_groups(S // qc, qc, kc, d) == (2 if big else 1)
-                        split += big
-            assert split == 134  # of 158 (mesh, d) pairs; the rest have 64 x 64 blocks, or 64 x 128 at d = 64
+        # The large-block shapes split wherever their blocks reach it, and the oracle from S = 1024.
+        split = 0
+        with cpus(2):
+            for S, P, qc, kc in ring_long_meshes():
+                assert oracle_groups(S) == 2
+                for d in (64, 128):
+                    big = qc * kc * d >= ringsim._THREADED_BLOCK_MACS
+                    assert not big or _slab_cap(qc, kc, d) == 1
+                    assert ringsim._ring_groups(S // qc, qc, kc, d) == (2 if big else 1)
+                    split += big
+        assert split == 134  # of 158 (mesh, d) pairs; the rest have 64 x 64 blocks, or 64 x 128 at d = 64
 
     @given(st.integers(1, 1 << 13), st.integers(1, 1 << 13), st.integers(0, 1 << 10))
     def test_threaded_blocks_are_one_block_slabs(self, qc, kc, extra):
