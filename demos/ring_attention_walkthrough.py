@@ -11,7 +11,6 @@ import numpy as np
 from longctx.ringsim import (
     RingMesh,
     attention_weights,
-    dosp_limits,
     exact_attention,
     random_problem,
     ring_attention,
@@ -32,7 +31,7 @@ print()
 print("=== Rotation schedule (KV partition seen by each device) ===")
 print("        " + "  ".join(f"dev{d}" for d in range(DEVICES)))
 for step in range(DEVICES):
-    row = [s.kv_origin for s in trace.steps if s.step == step]
+    row = [s["kv_origin"] for s in trace.steps if s["step"] == step]
     print(f"  step {step}: " + "  ".join(f"{o:>3d}" for o in row))
 print(f"  peer-to-peer transfers: {trace.transfers} (= P * (P - 1) = {DEVICES * (DEVICES - 1)})")
 
@@ -52,5 +51,4 @@ print("=== Why rings: degree of sequence parallelism ===")
 print("  With 8 KV heads, an all-to-all transpose scheme stalls at 8 devices;")
 print("  ring rotation keeps scaling with the cluster.")
 for devices in (8, 16, 64, 256):
-    lim = dosp_limits(kv_heads=8, devices=devices)
-    print(f"  {devices:>4d} devices -> ring {lim.ring_dosp:>4d}   all-to-all {lim.all_to_all_dosp:>2d}")
+    print(f"  {devices:>4d} devices -> ring {devices:>4d}   all-to-all {min(devices, 8):>2d}")

@@ -57,8 +57,8 @@ def _render(out: dict | str | None, no_timestamp: bool) -> tuple[str, ...]:
 
 
 def _parse_number_list(text: str, caster):
-    try:
-        return [caster(part) for part in text.split(",") if part != ""]
+    try:  # "" is the empty list; an empty item ("4,,4", ",1", "1,") is refused by the caster
+        return [caster(part) for part in text.split(",")] if text else []
     except ValueError as exc:
         raise ValueError(f"cannot parse list {text!r}: {exc}") from exc
 
@@ -152,9 +152,7 @@ def _cmd_ringsim(args) -> dict:
         "seed": args.seed,
         "max_abs_error_vs_oracle": float(np.max(np.abs(out - reference))),
         "transfers": trace.transfers,
-        "schedule": [
-            {"step": s.step, "device": s.device, "kv_origin": s.kv_origin} for s in trace.steps
-        ],
+        "schedule": trace.steps,
     }
 
 

@@ -102,13 +102,10 @@ from . import memplan
 __all__ = [
     "AttentionProblem",
     "RingMesh",
-    "RingStep",
     "RingTrace",
-    "DospLimits",
     "attention_weights",
     "exact_attention",
     "ring_attention",
-    "dosp_limits",
     "random_problem",
     "MAX_WORKING_SET_BYTES",
     "MAX_CLASSIFIED_BLOCKS",
@@ -205,13 +202,6 @@ class RingMesh:
 
 
 @dataclass(frozen=True)
-class RingStep:
-    step: int
-    device: int
-    kv_origin: int
-
-
-@dataclass(frozen=True)
 class RingTrace:
     """The ring's rotation schedule and peer-to-peer transfers, both closed forms of its device count P."""
 
@@ -222,15 +212,10 @@ class RingTrace:
         return self.device_count * (self.device_count - 1)
 
     @property
-    def steps(self) -> list[RingStep]:
-        P = self.device_count  # the schedule is built when read
-        return [RingStep(step=s, device=d, kv_origin=(d - s) % P) for s in range(P) for d in range(P)]
-
-
-@dataclass(frozen=True)
-class DospLimits:
-    ring_dosp: int
-    all_to_all_dosp: int
+    def steps(self) -> list[dict]:
+        """The schedule as ringsim prints it: device d holds partition (d - s) mod P at step s."""
+        P = self.device_count  # built when read
+        return [{"step": s, "device": d, "kv_origin": (d - s) % P} for s in range(P) for d in range(P)]
 
 
 def _legal_keys(segment_ids: np.ndarray, causal: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -537,18 +522,6 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
     _run_groups(fold, groups)
     np.divide(state[..., :d], state[..., d:], out=state[..., :d])
     return state[row, :, :d].reshape(p.seq_len, d), RingTrace(P)
-
-
-def dosp_limits(kv_heads: int, devices: int) -> DospLimits:
-    """Degree-of-sequence-parallelism ceiling for the two SP schemes.
-
-    Ring rotation scales with the device count; the all-to-all transpose
-    scheme must give each device at least one whole KV head, capping it at
-    min(devices, kv_heads).
-    """
-    if kv_heads < 1 or devices < 1:
-        raise ValueError("kv_heads and devices must be >= 1")
-    return DospLimits(ring_dosp=devices, all_to_all_dosp=min(devices, kv_heads))
 
 
 def random_problem(

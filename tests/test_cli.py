@@ -102,6 +102,13 @@ class TestRingsim:
         assert doc["transfers"] == 12
         assert len(doc["schedule"]) == 16
 
+    @pytest.mark.parametrize("P", [1, 2, 5])
+    def test_trace_steps_are_the_printed_schedule(self, capsys, P):
+        doc = run_json(
+            capsys, "ringsim", "--seq-len", "20", "--devices", str(P), "--q-chunk", "2", "--kv-chunk", "2"
+        )
+        assert ringsim.RingTrace(P).steps == doc["schedule"]
+
     def test_segments_flag_and_weight_dump(self, capsys, tmp_path):
         dump = tmp_path / "weights.csv"
         doc = run_json(
@@ -800,3 +807,20 @@ def test_sizes_beyond_the_bounds_fail_before_allocating(capsys, argv, bound):
 )
 def test_beyond_float_range_is_domain_error(capsys, argv):
     assert run_domain_error(capsys, *argv)["type"] == "OverflowError"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("ringsim", "--seq-len", "8", "--devices", "1", "--q-chunk", "4", "--kv-chunk", "4",
+          "--segments", "4,,4"), "4,,4"),
+        (("niah-grid", "--lengths", "2000,,16000", "--depths", "50,", "--stub", "echo"), "2000,,16000"),
+        (("niah-grid", "--lengths", "2000", "--depths", "50,", "--stub", "echo"), "50,"),
+        (("rope-plan", "--context-len", "4096", "--candidates", ",,1e6"), ",,1e6"),
+    ],
+    ids=["doubled", "doubled-first-of-two", "trailing", "leading"],
+)
+def test_empty_list_item_is_domain_error(capsys, argv, text):
+    # A leading, doubled or trailing comma is a typo, not a shorter list.
+    error = run_domain_error(capsys, *argv)
+    assert error["type"] == "ValueError" and f"cannot parse list {text!r}" in error["message"]

@@ -176,6 +176,9 @@ SCHEMAS = {
 @given(argvs())
 @example(["memplan-search", "--devices", "1", "--seq-len", "64", "--budget", "1", "--max-q-chunk", "0"])
 @example(["memplan-search", "--devices", "1", "--seq-len", "64", "--budget", "1", "--min-q-chunk", "64", "--max-q-chunk", "32"])
+@example(["ringsim", "--seq-len", "8", "--devices", "1", "--q-chunk", "4", "--kv-chunk", "4", "--segments", "4,,4"])
+@example(["niah-grid", "--lengths", "2000,,16000", "--depths", "50,", "--stub", "echo"])
+@example(["rope-plan", "--context-len", "4096", "--candidates", ",,1e6"])
 def test_every_argv_keeps_the_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     env = {k: v for k, v in os.environ.items() if k != "LONGCTX_ENDPOINT"}

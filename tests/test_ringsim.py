@@ -27,7 +27,6 @@ from longctx.ringsim import (
     MAX_WORKING_SET_BYTES,
     AttentionProblem,
     RingMesh,
-    RingStep,
     RingTrace,
     _fold_schedule,
     _legal_keys,
@@ -35,7 +34,6 @@ from longctx.ringsim import (
     _slab_cap,
     _slabs,
     attention_weights,
-    dosp_limits,
     exact_attention,
     random_problem,
     ring_attention,
@@ -402,10 +400,10 @@ class TestRing:
         P = 4
         _, trace = ring_attention(p, RingMesh(P, 8, 8))
         assert trace.transfers == P * (P - 1)
-        seen = {(s.device, s.kv_origin) for s in trace.steps}
+        seen = {(s["device"], s["kv_origin"]) for s in trace.steps}
         assert len(seen) == len(trace.steps) == P * P
         for s in trace.steps:
-            assert s.kv_origin == (s.device - s.step) % P
+            assert s["kv_origin"] == (s["device"] - s["step"]) % P
 
     def test_trace_is_the_device_count(self):
         # The trace holds P alone; its transfers and its schedule are closed forms of P.
@@ -785,7 +783,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("P", [1, 3, 8])
     def test_lazy_schedule_equals_eager_list(self, P):
         _, trace = ring_attention(two_segment_problem(24, 2, seed=P), RingMesh(P, 1, 1))
-        eager = [RingStep(step=s, device=d, kv_origin=(d - s) % P) for s in range(P) for d in range(P)]
+        eager = [{"step": s, "device": d, "kv_origin": (d - s) % P} for s in range(P) for d in range(P)]
         assert trace.steps == eager
 
     def test_peak_memory_at_a_million_live_blocks(self):
@@ -1094,29 +1092,3 @@ class TestRandomProblemDraw:
         p = random_problem(50, 4, np.random.default_rng(3), num_segments=1)
         assert np.array_equal(p.q, np.random.default_rng(3).standard_normal((50, 4)))
         assert not p.segment_ids.any()
-
-
-class TestDospLimits:
-    def test_ring_scales_with_devices(self):
-        limits = dosp_limits(kv_heads=8, devices=64)
-        assert limits.ring_dosp == 64
-        assert limits.all_to_all_dosp == 8
-
-    def test_devices_bind_when_scarce(self):
-        limits = dosp_limits(kv_heads=64, devices=8)
-        assert limits.ring_dosp == 8
-        assert limits.all_to_all_dosp == 8
-
-    def test_degenerate(self):
-        limits = dosp_limits(kv_heads=1, devices=1)
-        assert (limits.ring_dosp, limits.all_to_all_dosp) == (1, 1)
-
-    @given(st.integers(1, 1024), st.integers(1, 1024))
-    def test_rule_sweep(self, kv_heads, devices):
-        limits = dosp_limits(kv_heads, devices)
-        assert limits.ring_dosp == devices
-        assert limits.all_to_all_dosp == min(devices, kv_heads)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            dosp_limits(0, 4)
