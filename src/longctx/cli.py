@@ -9,10 +9,13 @@ The argparse tree, built once at import, is the only routing table: each
 subparser binds its handler with set_defaults(func=...). A handler returns
 what it prints and never touches stdout: a dict for a JSON document, a str
 for CSV or manifest text, or None when it wrote to a file. dispatch makes
-the one write, through _render. A tuple value in a returned dict holds
-pieces of JSON string content, written verbatim: niah-gen's inline document
-(megabytes) is one piece, never passed to json.dumps, since every niah
-document is JSON-plain. Handlers raise on bad input, and the one except
+the one write, through _render. A callable value in a returned dict
+stands for a JSON string written verbatim: _render calls it with the JSON
+text before and after that string and writes the one string it returns.
+niah-gen's inline document (megabytes) is GeneratedCase.text, so its
+stdout is one join of the haystack's sentences with that head and tail,
+with no json.dumps over it (every niah document is JSON-plain) and no
+document joined first. Handlers raise on bad input, and the one except
 clause in dispatch turns every domain error, including one raised while
 writing, into the JSON error object and exit 1.
 """
@@ -39,21 +42,21 @@ MAX_DUMP_BYTES = 1 << 28
 MAX_SCHEDULE_DEVICES = 512
 
 
-def _render(out: dict | str | None, no_timestamp: bool) -> tuple[str, ...]:
-    """The text of a handler's return value, as pieces for one writelines."""
+def _render(out: dict | str | None, no_timestamp: bool) -> str:
+    """The text of a handler's return value, for one write."""
     if out is None:
-        return ()
+        return ""
     if isinstance(out, str):
-        return (out,)
+        return out
     if not no_timestamp:
         out["timestamp"] = datetime.now(timezone.utc).isoformat()
-    key = next((k for k, v in out.items() if isinstance(v, tuple)), None)
+    key = next((k for k, v in out.items() if callable(v)), None)
     if key is None:
-        return (json.dumps(out, indent=2) + "\n",)
-    pieces, out[key] = out[key], ""
+        return json.dumps(out, indent=2) + "\n"
+    text, out[key] = out[key], ""
     # Raw newlines and quotes are structure, so this matches only the top-level key.
     head, marker, tail = (json.dumps(out, indent=2) + "\n").partition(f'\n  {json.dumps(key)}: "')
-    return (head, marker, *pieces, tail)
+    return text(head + marker, tail)
 
 
 def _parse_number_list(text: str, caster):
@@ -130,7 +133,9 @@ def _cmd_ringsim(args) -> dict:
             f"--dump-weights at seq_len={args.seq_len} writes up to {26 * args.seq_len**2} bytes, "
             f"more than MAX_DUMP_BYTES={MAX_DUMP_BYTES}"
         )
-    lengths = _parse_segments(args.segments, args.seq_len) if args.segments else None
+    lengths = _parse_segments(args.segments, args.seq_len) if args.segments is not None else None
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     # One segment draws no cut points, so Q/K/V come from the same stream
     # with or without --segments; replace() re-runs the problem's checks.
@@ -239,7 +244,7 @@ def _cmd_niah_gen(args) -> dict:
             fh.write(gen.document)
         doc["document_file"] = args.out
     else:
-        doc["document"] = (gen.document,)
+        doc["document"] = gen.text
     return doc
 
 
@@ -450,7 +455,7 @@ def dispatch(argv: list[str]) -> int:
     """Run argv's subcommand handler; returns the process exit code."""
     args = _PARSER.parse_args(argv)
     try:
-        sys.stdout.writelines(_render(args.func(args), args.no_timestamp))
+        sys.stdout.write(_render(args.func(args), args.no_timestamp))
     except (ValueError, OverflowError, OSError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(error, indent=2) + "\n")

@@ -121,6 +121,8 @@ class NiahCase:
 
     def __post_init__(self):
         _check_haystack_tokens(self.haystack_tokens)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.depth_percent <= 100:
             raise ValueError(f"depth_percent must be in [0, 100], got {self.depth_percent}")
         if not (self.needle_payload.isascii() and self.needle_payload.isdigit()):
@@ -129,10 +131,28 @@ class NiahCase:
 
 @dataclass(frozen=True)
 class GeneratedCase:
-    document: str
+    """One haystack, kept as its sentences so that each text of it is one join.
+
+    ``sentences`` are the drawn filler sentences with the needle at
+    ``needle_sentence_index`` and the pad sentence, if any, last. The
+    document is those sentences joined by single spaces.
+    """
+
+    sentences: tuple[str, ...]
     needle_sentence_index: int
     needle_char_offset: int
     estimated_tokens: float
+
+    @property
+    def document(self) -> str:
+        return " ".join(self.sentences)
+
+    def text(self, head: str = "", tail: str = "") -> str:
+        """``head + document + tail``, built by one join and never by copying the document."""
+        parts = list(self.sentences)
+        parts[0] = head + parts[0]
+        parts[-1] += tail
+        return " ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -177,6 +197,10 @@ def generate_case(case: NiahCase) -> GeneratedCase:
     total reproduces the one-at-a-time float sums bit for bit. The estimate
     is the word count of the parts times TOKENS_PER_WORD, which equals
     splitting the joined document.
+
+    The case holds the sentences, not their join: ``GeneratedCase.text``
+    builds the document, a prompt or a JSON stdout around it in one join,
+    so a 512K-token haystack exists once as a string, not once per caller.
     """
     needle = DEFAULT_NEEDLE_TEMPLATE.format(payload=case.needle_payload)
     needle_cost = estimate_tokens(needle)
@@ -231,7 +255,7 @@ def generate_case(case: NiahCase) -> GeneratedCase:
     # str.split is additive over " ".join, so this is len(document.split()).
     words = int(pool_words[drawn].sum()) + len(pad) + len(needle.split())
     return GeneratedCase(
-        document=" ".join(chosen),
+        sentences=tuple(chosen),
         needle_sentence_index=insert_at,
         needle_char_offset=offset,
         estimated_tokens=words * TOKENS_PER_WORD,
@@ -239,7 +263,7 @@ def generate_case(case: NiahCase) -> GeneratedCase:
 
 
 def build_prompt(gen: GeneratedCase) -> str:
-    return f"{gen.document}\n\n{DEFAULT_QUESTION}"
+    return gen.text(tail="\n\n" + DEFAULT_QUESTION)
 
 
 def score(expected: str, answer: str) -> NiahResult:
@@ -466,6 +490,8 @@ def run_grid(
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
     if not 1 <= max_concurrency <= MAX_CONCURRENCY:
         raise ValueError(f"max_concurrency={max_concurrency} is not in [1, MAX_CONCURRENCY={MAX_CONCURRENCY}]")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
     if not lengths or not depths:
         raise ValueError("lengths and depths must each hold at least one value")
     _check_haystack_tokens(max(lengths))

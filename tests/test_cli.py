@@ -134,7 +134,7 @@ class TestRingsim:
 
     @pytest.mark.parametrize(
         "seq_len, chunk, segments",
-        [(32, 4, "10,10"), (32, 4, "32,0"), (32, 4, "16,x"), (129_536, 512, "129535")],
+        [(32, 4, "10,10"), (32, 4, "32,0"), (32, 4, "16,x"), (8, 4, ""), (129_536, 512, "129535")],
     )
     def test_bad_segments_fail_before_the_problem_is_drawn(self, capsys, seq_len, chunk, segments):
         # 129,536 = 2^9 x 11 x 23 is near the longest S random_problem admits at d = 1, where it
@@ -406,6 +406,25 @@ class TestNiah:
         doc = json.loads(out.getvalue())
         assert code == 0 and ("timestamp" in doc) == timestamp
         assert json.dumps(doc, indent=2) + "\n" == out.getvalue()
+
+    def test_gen_stdout_is_the_only_copy_of_the_haystack(self):
+        # One join builds the JSON head, document and tail; a captured StringIO
+        # hands that string back, so no 2.26 MB document is joined first (2.0x).
+        argv = ["--no-timestamp", "niah-gen", "--haystack-tokens", "524288", "--depth", "37.5",
+                "--payload", "4096512", "--seed", "1"]  # fmt: skip
+        with contextlib.redirect_stdout(io.StringIO()):
+            dispatch(argv)  # the filler tables are read once per process
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = dispatch(argv)
+            stdout = out.getvalue()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(stdout) == 2_260_341
+        assert peak <= 1.5 * len(stdout)
 
     @pytest.mark.parametrize("flag", ["--payload", "--expected"])
     def test_non_ascii_digits_are_domain_errors(self, capsys, flag):
@@ -824,3 +843,22 @@ def test_empty_list_item_is_domain_error(capsys, argv, text):
     # A leading, doubled or trailing comma is a typo, not a shorter list.
     error = run_domain_error(capsys, *argv)
     assert error["type"] == "ValueError" and f"cannot parse list {text!r}" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        (("ringsim", "--seq-len", "8", "--devices", "1", "--q-chunk", "4", "--kv-chunk", "4", "--seed", "-1"),
+         "seed must be >= 0, got -1"),
+        (("niah-gen", "--haystack-tokens", "600", "--depth", "50", "--payload", "7", "--seed", "-1"),
+         "seed must be >= 0, got -1"),
+        (("niah-grid", "--lengths", "600", "--depths", "50", "--stub", "echo", "--seed", "-5"),
+         "base_seed must be >= 0, got -5"),
+    ],
+    ids=["ringsim", "niah-gen", "niah-grid"],
+)
+def test_negative_seed_is_named_before_a_generator_is_made(capsys, argv, seed):
+    made = AssertionError("a generator was made before the seed was checked")
+    with mock.patch.object(np.random, "default_rng", side_effect=made):
+        error = run_domain_error(capsys, *argv)
+    assert error == {"type": "ValueError", "message": seed}

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from importlib import resources
 from pathlib import Path
@@ -203,11 +204,22 @@ class TestGenerateGolden:
         assert gen.estimated_tokens == estimate  # bit-exact, not approximate
 
 
+def fields(gen):
+    """A generated case's document and recorded fields, as reference_generate_case returns them."""
+    return {
+        "document": gen.document,
+        "needle_sentence_index": gen.needle_sentence_index,
+        "needle_char_offset": gen.needle_char_offset,
+        "estimated_tokens": gen.estimated_tokens,
+    }
+
+
 def reference_generate_case(case: NiahCase):
     """generate_case before the cached filler tables: per-call costs, a per-pick
     list, the needle spliced in by slicing, and the offset summed over strings.
 
-    Kept as the reference that the cached form must reproduce field for field.
+    Kept as the reference that the cached form must reproduce field for field;
+    it joins its own document, so it does not go through GeneratedCase.
     """
     planted = needle(case.needle_payload)
     needle_cost = estimate_tokens(planted)
@@ -254,12 +266,12 @@ def reference_generate_case(case: NiahCase):
     insert_at = min(len(chosen), round(case.depth_percent / 100.0 * len(chosen)))
     document = " ".join(chosen[:insert_at] + [planted] + chosen[insert_at:])
     offset = sum(map(len, chosen[:insert_at])) + insert_at
-    return niah.GeneratedCase(
-        document=document,
-        needle_sentence_index=insert_at,
-        needle_char_offset=offset,
-        estimated_tokens=estimate_tokens(document),
-    )
+    return {
+        "document": document,
+        "needle_sentence_index": insert_at,
+        "needle_char_offset": offset,
+        "estimated_tokens": estimate_tokens(document),
+    }
 
 
 class TestGenerateMatchesReference:
@@ -278,7 +290,7 @@ class TestGenerateMatchesReference:
             with pytest.raises(ValueError, match="cannot hold needle"):
                 generate_case(case)
             return
-        assert generate_case(case) == expected
+        assert fields(generate_case(case)) == expected
 
     @pytest.mark.parametrize("seed", [13, 38])
     def test_second_draw_block_matches_the_reference(self, seed):
@@ -288,7 +300,44 @@ class TestGenerateMatchesReference:
         budget = case.haystack_tokens - estimate_tokens(needle(case.needle_payload))
         first = np.random.default_rng(seed).integers(0, costs.size, size=64 + int(budget / costs[costs > 0].mean()))
         assert np.cumsum(costs[first])[-1] <= budget
-        assert generate_case(case) == reference_generate_case(case)
+        assert fields(generate_case(case)) == reference_generate_case(case)
+
+
+class TestText:
+    @pytest.mark.parametrize(
+        "sentences",
+        [("Only one.",), ("First one.", "Last one."), ("First one.", "Middle one.", "Last one.")],
+        ids=["one", "two", "three"],
+    )
+    def test_head_and_tail_glue_onto_the_ends(self, sentences):
+        # One sentence is both first and last, so it gets the head and then the tail.
+        gen = niah.GeneratedCase(sentences, 0, 0, 0.0)
+        assert gen.document == " ".join(sentences)
+        assert gen.text() == gen.document
+        assert gen.text(head='{"a": "', tail='"}') == '{"a": "' + gen.document + '"}'
+        assert gen.text(tail="?") == gen.document + "?" and gen.text(head="!") == "!" + gen.document
+
+    @pytest.mark.parametrize("tokens, depth", [(40, 0.0), (2000, 50.0), (8192, 100.0)])
+    def test_generated_sentences_hold_the_needle_and_join_to_the_document(self, tokens, depth):
+        # 40 tokens is the smallest recorded case: three sentences, the needle first.
+        gen = generate_case(make_case(haystack_tokens=tokens, depth_percent=depth))
+        assert gen.sentences[gen.needle_sentence_index] == needle(PAYLOAD)
+        assert gen.document.index(needle(PAYLOAD)) == gen.needle_char_offset
+        assert gen.text("head ", " tail") == "head " + gen.document + " tail"
+        assert build_prompt(gen) == gen.document + "\n\n" + niah.DEFAULT_QUESTION
+
+    def test_prompt_is_the_only_copy_of_the_haystack(self):
+        # generate_case keeps sentences and build_prompt joins them once, so a
+        # 512K-token prompt is never preceded by a joined document (2.0x).
+        case = NiahCase(haystack_tokens=524_288, depth_percent=37.5, needle_payload="4096512", seed=1)
+        generate_case(make_case())  # the filler tables are read once per process
+        tracemalloc.start()
+        try:
+            prompt = build_prompt(generate_case(case))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(prompt)
 
 
 class TestScore:
