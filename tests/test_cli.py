@@ -665,8 +665,6 @@ class TestContract:
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
-            writelines = write
-
         err = io.StringIO()
         with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(err):
             code = dispatch(["--no-timestamp", *argv])
