@@ -32,11 +32,11 @@ print("=== Why far-above-bound hurts: rotation completeness ===")
 for theta in (75e6, 100e6):
     cfg = RopeConfig(theta_base=theta, head_dim=128, max_position=600_000)
     report = rotation_report(cfg)
-    incomplete = [d.pair_index for d in report.dims if not d.completes_full_rotation]
+    first_incomplete = report.complete.tolist().index(False)
     print(
         f"  theta {theta:12,.0f}: {report.fraction_complete:6.1%} complete, "
-        f"first incomplete pair {incomplete[0]}, longest wavelength "
-        f"{report.dims[-1].wavelength:,.0f} tokens"
+        f"first incomplete pair {first_incomplete}, longest wavelength "
+        f"{report.wavelength[-1]:,.0f} tokens"
     )
 print()
 print("  Dimensions that never wrap see only a sliver of their phase space")

@@ -105,11 +105,9 @@ def _cmd_rope_report(args) -> str:
     cfg = rope.RopeConfig(
         theta_base=args.theta_base, head_dim=args.head_dim, max_position=args.max_position
     )
-    rows = (
-        f"{dim.pair_index},{dim.inv_freq!r},{dim.wavelength!r},"
-        f"{str(dim.completes_full_rotation).lower()}\n"
-        for dim in rope.rotation_report(cfg).dims
-    )
+    report = rope.rotation_report(cfg)
+    columns = report.inv_freq.tolist(), report.wavelength.tolist(), report.complete.tolist()
+    rows = (f"{i},{inv!r},{wl!r},{str(c).lower()}\n" for i, (inv, wl, c) in enumerate(zip(*columns)))
     return "pair_index,inv_freq,wavelength,complete\n" + "".join(rows)
 
 
@@ -323,6 +321,8 @@ def _read_manifest(args) -> recipe.RecipeManifest:
 
 
 def _cmd_recipe(args) -> dict | str | None:
+    if args.out is not None and args.action != "emit":
+        _PARSER.error(f"recipe {args.action} takes no --out; only emit writes a file")
     manifest = _read_manifest(args)
     if args.action == "validate":
         violations = recipe.validate(manifest)

@@ -349,7 +349,10 @@ class ApiShape:
     def from_file(cls, path) -> "ApiShape":
         """Read a shape from JSON; ValueError on unknown keys or wrongly typed values."""
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError(f"API shape {path} nests too deeply to decode: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError(f"API shape {path} must be a JSON object")
         defaults = vars(cls())

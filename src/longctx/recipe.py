@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from decimal import Decimal
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -204,6 +205,13 @@ class Violation:
         return f"{where}: {self.field}: {self.message} (expected {self.expected}, got {self.actual})"
 
 
+def _off_by_more_than(tolerance: float, actual: int, declared: int) -> bool:
+    # Exact at any integer size. The tolerance is the decimal it prints as (0.08, not its
+    # binary neighbour), so a count exactly at the tolerance still matches.
+    num, den = Decimal(repr(tolerance)).as_integer_ratio()
+    return abs(actual - declared) * den > num * declared
+
+
 def validate(manifest: RecipeManifest) -> list[Violation]:
     """Check every manifest invariant; empty list means the manifest is sound."""
     out: list[Violation] = []
@@ -288,7 +296,7 @@ def validate(manifest: RecipeManifest) -> list[Violation]:
                 and entry.seq_len_max is None
             ):
                 recount = entry.sequence_count * entry.seq_len
-                if abs(recount - entry.token_subtotal) > p.subtotal_tolerance * entry.token_subtotal:
+                if _off_by_more_than(p.subtotal_tolerance, recount, entry.token_subtotal):
                     out.append(
                         Violation(
                             p.phase_id,
@@ -300,7 +308,7 @@ def validate(manifest: RecipeManifest) -> list[Violation]:
                     )
             phase_tokens += tokens
 
-        if p.sequence_spec and abs(phase_tokens - p.token_budget) > p.subtotal_tolerance * p.token_budget:
+        if p.sequence_spec and _off_by_more_than(p.subtotal_tolerance, phase_tokens, p.token_budget):
             out.append(
                 Violation(
                     p.phase_id,
@@ -410,7 +418,7 @@ def parse_manifest(text: str) -> RecipeManifest:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise ManifestError(f"not valid JSON: {exc}") from exc
     _as_object(doc, "manifest")
 

@@ -10,13 +10,14 @@ Angles and trig are always evaluated in 64-bit afterwards, so any observed
 damage is attributable to the position representation alone.
 
 The planning half turns a target context length into a minimum usable
-theta base (0.0424 * L**1.628) and classifies candidate bases by how their
-per-dimension wavelengths relate to the context length.
+theta base (0.0424 * L**1.628). rotation_report holds three per-pair arrays
+(inverse frequency, wavelength, whether it fits within max_position), and
+plan_theta classifies candidate bases by the fraction of pairs that fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,7 +26,6 @@ from .softnum import PrecisionMode, quantize_position
 
 __all__ = [
     "RopeConfig",
-    "DimRotation",
     "DimRotationReport",
     "CandidateReport",
     "ThetaPlan",
@@ -116,26 +116,17 @@ def relative_score(
     return float(np.dot(rotate(q, m, cfg), rotate(k, n, cfg)))
 
 
-@dataclass(frozen=True)
-class DimRotation:
-    pair_index: int
-    inv_freq: float
-    wavelength: float
-    completes_full_rotation: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DimRotationReport:
-    """Per-pair wavelengths and whether each completes 2*pi within reach."""
+    """Per-pair arrays: inverse frequency, wavelength, and whether it wraps in reach."""
 
-    dims: list[DimRotation]
-    fraction_complete: float
+    inv_freq: np.ndarray
+    wavelength: np.ndarray
+    complete: np.ndarray
 
-
-def _wavelengths(cfg: RopeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair's inverse frequency and its wavelength 2*pi*theta_base**(2i/d)."""
-    inv = inverse_frequencies(cfg)
-    return inv, 2.0 * np.pi / inv
+    @property
+    def fraction_complete(self) -> float:
+        return float(self.complete.mean())
 
 
 def rotation_report(cfg: RopeConfig) -> DimRotationReport:
@@ -145,16 +136,9 @@ def rotation_report(cfg: RopeConfig) -> DimRotationReport:
     position range; pairs that never wrap have seen only a fraction of
     their phase space during any pass over the data.
     """
-    inv, wavelengths = _wavelengths(cfg)
-    complete = wavelengths <= cfg.max_position
-    dims = [
-        DimRotation(i, float(inv[i]), float(wavelengths[i]), bool(complete[i]))
-        for i in range(len(inv))
-    ]
-    return DimRotationReport(
-        dims=dims,
-        fraction_complete=float(complete.mean()),
-    )
+    inv = inverse_frequencies(cfg)
+    wavelength = 2.0 * np.pi / inv
+    return DimRotationReport(inv, wavelength, wavelength <= cfg.max_position)
 
 
 def theta_lower_bound(context_len: int) -> float:
@@ -183,8 +167,8 @@ class ThetaPlan:
     context_len: int
     head_dim: int
     lower_bound: float
-    candidates: list[CandidateReport] = field(default_factory=list)
-    recommended: float | None = None
+    candidates: list[CandidateReport]
+    recommended: float | None
 
 
 def plan_theta(
@@ -205,10 +189,10 @@ def plan_theta(
         raise ValueError("candidates must be nonempty")
     bound = theta_lower_bound(context_len)
 
-    fractions = {}
-    for theta in candidates:
-        cfg = RopeConfig(theta_base=theta, head_dim=head_dim, max_position=context_len)
-        fractions[theta] = float((_wavelengths(cfg)[1] <= context_len).mean())
+    fractions = {
+        theta: rotation_report(RopeConfig(theta, head_dim, context_len)).fraction_complete
+        for theta in candidates
+    }
 
     eligible = sorted(t for t in candidates if t / bound >= BOUND_SLACK)
     recommended = eligible[0] if eligible else None

@@ -21,6 +21,8 @@ from longctx import niah, recipe, ringsim, rope
 from longctx.cli import dispatch
 
 GOLDEN = Path(__file__).parent / "data" / "megabeam_manifest.json"
+# json decodes nesting by recursion; 200,000 levels pass the interpreter's limit.
+DEEPLY_NESTED = "[" * 200_000 + "]" * 200_000
 
 
 def run_cli(capsys, *argv, expect_code=0):
@@ -510,6 +512,15 @@ class TestNiah:
         assert code == 1 and captured.out == ""
         check_schema("error", json.loads(captured.err))
 
+    def test_deeply_nested_api_shape_is_domain_error(self, capsys, tmp_path):
+        shape = tmp_path / "shape.json"
+        shape.write_text(DEEPLY_NESTED)
+        error = run_domain_error(
+            capsys, "niah-grid", "--lengths", "600", "--depths", "50",
+            "--endpoint", "http://127.0.0.1:9/complete", "--api-shape", str(shape),
+        )
+        assert error["type"] == "ValueError" and "nests too deeply" in error["message"]
+
     @pytest.mark.parametrize(
         "flags", [("--endpoint", "http://127.0.0.1:9/complete"), ("--api-shape", "/nonexistent")]
     )
@@ -624,6 +635,41 @@ class TestRecipe:
         error = run_domain_error(capsys, "recipe", action, "--file", str(path))
         assert error["type"] == "ManifestError" and "schema" in error["message"]
 
+    @pytest.mark.parametrize("action", ["show", "validate", "emit"])
+    def test_deeply_nested_file_is_domain_error(self, capsys, tmp_path, action):
+        path = tmp_path / "manifest.json"
+        path.write_text(DEEPLY_NESTED)
+        error = run_domain_error(capsys, "recipe", action, "--file", str(path))
+        assert error["type"] == "ManifestError" and "recursion" in error["message"]
+
+    @pytest.mark.parametrize(
+        "phase, entry, field",
+        [(0, None, "token_budget"), (3, 0, "sequence_spec[0]")],
+        ids=["budget", "subtotal"],
+    )
+    def test_validate_lists_counts_beyond_float64(self, capsys, tmp_path, phase, entry, field):
+        # A tolerance times 10**400 has no float; the comparison stays in integers and fractions.
+        doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        if entry is None:
+            doc["phases"][phase]["token_budget"] = 10**400
+        else:
+            doc["phases"][phase]["sequence_spec"][entry]["token_subtotal"] = 10**400
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = run_json(capsys, "recipe", "validate", "--file", str(path))
+        check_schema("recipe-validate", out)
+        assert out["ok"] is False and field in [v["field"] for v in out["violations"]]
+
+    @pytest.mark.parametrize("action", ["show", "validate"])
+    def test_out_without_emit_is_usage_error(self, capsys, tmp_path, action):
+        # Only emit writes a file, so --out beside show or validate would be silently ignored.
+        target = tmp_path / "manifest.json"
+        with pytest.raises(SystemExit) as excinfo:
+            dispatch(["--no-timestamp", "recipe", action, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == "" and "usage:" in captured.err
+        assert not target.exists()
+
     def test_round_trip_through_file(self, capsys, tmp_path):
         path = tmp_path / "manifest.json"
         run_cli(capsys, "recipe", "emit", "--out", str(path))
@@ -712,6 +758,12 @@ STDOUT_DIGESTS = [
          "--max-position", "524288"),
         "ca2dcc2c439a0a2c9d3e6a746105cd5e524dcc5f363a4fa02245b2574ebc69b5",
         id="rope-report-csv",
+    ),
+    pytest.param(
+        ("rope-report", "--theta-base", "75000000", "--head-dim", "65536",
+         "--max-position", "524288"),
+        "e98268373237cc230c36b673d3bd404594c848353dfaeaf2177c923a268f65a0",
+        id="rope-report-max-head-dim",
     ),
     pytest.param(
         ("ringsim", "--seq-len", "32", "--devices", "4", "--q-chunk", "4",

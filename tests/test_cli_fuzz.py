@@ -13,8 +13,9 @@ grid cells, threads, ring devices, searched lengths) draw only values up to
 before allocating anything, so no example allocates by size. No argv
 carries --endpoint and LONGCTX_ENDPOINT is unset, so nothing is sent;
 flags that name a file to write are left out. recipe --file also draws the
-golden manifest and copies of it that break the manifest schema in one
-field.
+golden manifest, copies of it that break the manifest schema in one field
+or hold a token budget beyond float64, and a file of 200,000 nested lists,
+deeper than json can decode.
 """
 
 import contextlib
@@ -54,13 +55,14 @@ HEAD_DIM = st.sampled_from(POOL + (str(MAX_HEAD_DIM + 1), str(MAX_HEAD_DIM + 2))
 
 
 def _write_manifests(directory: Path) -> tuple[str, ...]:
-    """The golden manifest, and copies with one field of phase 0 (or the phase list) replaced."""
+    """The golden manifest, copies with one field of phase 0 (or the phase list) replaced, and deep nesting."""
     golden = (Path(__file__).parent / "data" / "megabeam_manifest.json").read_text(encoding="utf-8")
     edits = {
         "golden": {},
         "checkpoint-number": {"checkpoint": 5},
         "phase-id-null": {"phase_id": None},
         "theta-nan": {"rope_theta": float("nan")},
+        "budget-beyond-float64": {"token_budget": 10**400},
         "no-phases": None,
     }
     paths = []
@@ -73,7 +75,9 @@ def _write_manifests(directory: Path) -> tuple[str, ...]:
         path = directory / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         paths.append(str(path))
-    return tuple(paths)
+    deep = directory / "deeply-nested.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    return (*paths, str(deep))
 
 
 _MANIFEST_DIR = tempfile.TemporaryDirectory()

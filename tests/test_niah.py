@@ -688,6 +688,13 @@ class TestHttpClient:
         with pytest.raises(ValueError, match=match):
             ApiShape.from_file(path)
 
+    def test_deeply_nested_shape_file_raises_value_error(self, tmp_path):
+        # json decodes nesting by recursion; 200,000 levels pass the interpreter's limit.
+        path = tmp_path / "shape.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(ValueError, match="nests too deeply"):
+            ApiShape.from_file(path)
+
     def test_unreachable_endpoint_raises_client_error(self):
         client = HttpCompletionClient("http://127.0.0.1:9/", timeout=0.2)
         with pytest.raises(ClientError):

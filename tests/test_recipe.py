@@ -145,6 +145,21 @@ class TestValidator:
         problems = validate(RecipeManifest(base_model="m", phases=(replace(clean, **change),)))
         assert [(v.phase_id, v.field, v.expected) for v in problems] == [("1", field, expected)]
 
+    @pytest.mark.parametrize("scale", [1, 10**400], ids=["small", "beyond-float64"])
+    def test_tolerance_boundary_is_exact(self, scale):
+        # 0.3 of 10 is 3: 13 and 7 match 10 and 14 and 6 do not, at any size.
+        def fields(count, subtotal):
+            entry = SequenceSpec(seq_len=scale, sequence_count=count, token_subtotal=subtotal * scale)
+            phase = PhasePlan(
+                index=1, phase_id="1", purpose="x", token_budget=10 * scale, rope_theta=10_000.0,
+                sequence_spec=(entry,), subtotal_tolerance=0.3,
+            )
+            return [v.field for v in validate(RecipeManifest(base_model="m", phases=(phase,)))]
+
+        assert fields(13, 10) == fields(7, 10) == fields(None, 13) == fields(None, 7) == []
+        assert fields(14, 10) == fields(6, 10) == ["sequence_spec[0]"]
+        assert fields(None, 14) == fields(None, 6) == ["token_budget"]
+
     def test_empty_phases_flagged(self):
         # The manifest schema asks for at least one phase.
         problems = validate(parse_manifest(json.dumps({"schema": 1, "base_model": "m", "phases": []})))
@@ -191,6 +206,11 @@ class TestSerialization:
     def test_load_malformed_json_fails(self):
         with pytest.raises(ManifestError, match="not valid JSON"):
             load_manifest("{nope")
+
+    def test_load_deeply_nested_json_fails(self):
+        # json decodes nesting by recursion; 200,000 levels pass the interpreter's limit.
+        with pytest.raises(ManifestError, match="not valid JSON: maximum recursion depth"):
+            parse_manifest("[" * 200_000 + "]" * 200_000)
 
     def test_load_wrong_schema_version_fails(self):
         doc = json.loads(emit_manifest(megabeam_recipe()))

@@ -7,13 +7,13 @@ regression in the angle pipeline.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from longctx import rope
 from longctx.rope import (
     MAX_HEAD_DIM,
     BOUND_SLACK,
@@ -31,6 +31,17 @@ from longctx.softnum import PrecisionMode, round_trip
 
 def cfg(theta=10000.0, d=8, L=1 << 20, precision=PrecisionMode.FULL32):
     return RopeConfig(theta_base=theta, head_dim=d, max_position=L, precision=precision)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 class TestConfig:
@@ -173,14 +184,15 @@ class TestRelativeScore:
 
 class TestRotationReport:
     def test_wavelengths_increase(self):
-        report = rotation_report(cfg(theta=75e6, d=128))
-        wl = [dim.wavelength for dim in report.dims]
+        wl = rotation_report(cfg(theta=75e6, d=128)).wavelength.tolist()
+        assert len(wl) == 64
         assert all(b > a for a, b in zip(wl, wl[1:]))
 
     def test_completeness_matches_wavelength_rule(self):
         c = cfg(theta=1e8, d=128, L=600_000)
-        for dim in rotation_report(c).dims:
-            assert dim.completes_full_rotation == (dim.wavelength <= c.max_position)
+        report = rotation_report(c)
+        for wavelength, complete in zip(report.wavelength.tolist(), report.complete.tolist()):
+            assert complete == (wavelength <= c.max_position)
 
     def test_all_complete_when_theta_barely_above_one(self):
         report = rotation_report(cfg(theta=1.01, d=64, L=10_000))
@@ -189,10 +201,16 @@ class TestRotationReport:
     def test_large_theta_leaves_tail_incomplete(self):
         report = rotation_report(cfg(theta=1e8, d=128, L=600_000))
         assert report.fraction_complete < 1.0
-        flags = [dim.completes_full_rotation for dim in report.dims]
+        flags = report.complete.tolist()
         # Incompleteness is a suffix: once a wavelength exceeds the reach,
         # every longer one does too.
         assert flags == sorted(flags, reverse=True)
+
+    def test_report_at_max_head_dim_is_three_arrays(self):
+        report, peak = traced_peak(rotation_report, cfg(theta=75e6, d=MAX_HEAD_DIM, L=524_288))
+        assert report.inv_freq.shape == report.wavelength.shape == report.complete.shape
+        assert report.complete.shape == (MAX_HEAD_DIM // 2,)
+        assert peak <= 2**20
 
     def test_known_fraction_at_half_mega_context(self):
         report = rotation_report(cfg(theta=75e6, d=128, L=524_288))
@@ -281,15 +299,12 @@ class TestPlanTheta:
         with pytest.raises(ValueError):
             plan_theta(1024, [])
 
-    def test_fractions_equal_the_rotation_report_without_building_one(self, monkeypatch):
-        # A report builds d/2 rows; the plan reads each fraction from the wavelengths alone.
+    def test_fractions_equal_the_rotation_report_in_bounded_memory(self):
+        # The plan reads each fraction from a report of three arrays, so no d/2 objects per candidate.
         candidates = [1e4, 5e5, 25e6, 75e6, 100e6, 200e6, 1e9]
         want = plan_theta(524_288, candidates, head_dim=256)
         fractions = [rotation_report(cfg(t, 256, 524_288)).fraction_complete for t in candidates]
-
-        def no_report(cfg):
-            raise AssertionError("plan_theta built a rotation report")
-
-        monkeypatch.setattr(rope, "rotation_report", no_report)
         assert plan_theta(524_288, candidates, head_dim=256) == want
         assert [c.fraction_complete for c in want.candidates] == fractions
+        _, peak = traced_peak(plan_theta, 524_288, candidates, head_dim=MAX_HEAD_DIM)
+        assert peak <= 2**20
