@@ -27,16 +27,18 @@ and every one of them reads all of [lo of its last row, hi of its first
 row], its *core*. A (query chunk x KV chunk) block is *empty* when the KV
 chunk misses the query chunk's span, *full* when it lies in the core and
 *partial* otherwise, so each query chunk's live blocks, and its full
-ones, are one contiguous run of KV chunks. Empty blocks are skipped, full
-blocks skip the mask and a partial block masks each row's keys outside
-[lo_i, hi_i]. The oracle takes the span of each block of query rows and
-masks only its edges outside the core. Skipping is exact, not an
-approximation: an empty block's scores are all -inf, so it leaves every
-row's max unchanged (alpha = 1, or the state is still zero) and adds
-exp(-inf) = 0 to the sums; a full block's mask selects every score; and
-every key outside a span would get weight exactly 0.0, so the oracle's
-span changes which zeros are summed, not the result. Outputs are bitwise
-those of visiting every block.
+ones, are one contiguous run of KV chunks. Empty blocks are skipped. A
+ring slab that holds a partial block sets each row's scores outside
+[lo_i, hi_i] to -inf, which exp makes 0.0. The oracle masks only its
+span's edges outside the core, as exp(0) zeroed after: numpy's exp takes
+3.2 ns per -inf input against 0.7 ns per finite one, and those edges can
+fill most of a strip, while the ring, which skips empty blocks, masks few
+of its scores. Skipping is exact, not an approximation: an empty block's
+scores are all -inf, so it leaves every row's max unchanged (alpha = 1,
+or the state is still zero) and adds exp(-inf) = 0 to the sums; a full
+block's mask selects every score; and every key outside a span would get
+weight exactly 0.0, so the oracle's span changes which zeros are summed,
+not the result. Outputs are bitwise those of visiting every block.
 
 ring_attention folds each query chunk's live blocks in the ring's order:
 query device dq gets KV partition dk at ring step (dq - dk) mod P, so a
@@ -44,7 +46,7 @@ block's fold step t is its rank in its query chunk by (ring step, KV
 chunk). Only two updates read the running state, l = alpha * l + rowsum
 and acc = alpha * acc + P.V, so everything else is computed ahead of them,
 batched in slabs whose temporaries fit _SLAB_BYTES: QK^T (a stacked
-matmul, one gemm per block), the scale, the mask of partial blocks, the
+matmul, one gemm per block), the scale, the -inf mask, the
 row max, the running max (a cumulative max over t, seeded with the max
 carried from earlier slabs), the shift, alpha, exp, the row sums and P.V.
 The two recurrences then run once per fold step on a contiguous slice of
@@ -83,10 +85,10 @@ problem whose Q/K/V plus a 256 x S oracle strip, the oracle's budget,
 would pass MAX_WORKING_SET_BYTES, and RingMesh.validate_for a mesh with
 more than MAX_CLASSIFIED_BLOCKS (query chunk x KV chunk) blocks,
 which bounds the live blocks the ring's schedule lists, or whose one
-block's scores and mask (16 x query_chunk x kv_chunk bytes; a slab holds
-at least one block) would pass MAX_WORKING_SET_BYTES. The mesh's layout
-(positive sizes, P divides S, each chunk size divides S/P) is checked by
-memplan.ChunkPlan, the one place that rule is written.
+block's scores and mask (at most 16 x query_chunk x kv_chunk bytes; a
+slab holds at least one block) would pass MAX_WORKING_SET_BYTES. The
+mesh's layout (positive sizes, P divides S, each chunk size divides S/P)
+is checked by memplan.ChunkPlan, the one place that rule is written.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ class RingMesh:
                 f"S={seq_len} with chunks {self.query_chunk}/{self.kv_chunk} makes {blocks} blocks "
                 f"to classify, more than {MAX_CLASSIFIED_BLOCKS}"
             )
-        block_bytes = 16 * self.query_chunk * self.kv_chunk  # scores and mask of the one block a slab must hold
+        block_bytes = 16 * self.query_chunk * self.kv_chunk  # one block's scores and mask, the mask at 8 bytes
         if block_bytes > MAX_WORKING_SET_BYTES:
             raise ValueError(
                 f"chunks {self.query_chunk}/{self.kv_chunk} need {block_bytes} bytes for one block's "
@@ -386,7 +388,7 @@ def _slabs(widths: list[int], cap: int, group: int, groups: int):
 
 def _block_bytes(qc: int, kc: int, d: int) -> int:
     """Bytes of one block's share of a ring slab's temporaries."""
-    # In float64s: scores and mask; Q, K and V; P.V and P.V | rowsum; row max, shift, alpha.
+    # In float64s: scores and mask (a bool, counted at 8); Q, K and V; P.V and P.V | rowsum; row max, shift, alpha.
     return 8 * (2 * qc * kc + 3 * qc * d + 2 * kc * d + 3 * qc)
 
 
@@ -463,7 +465,7 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
     lo, hi = _legal_keys(p.segment_ids, p.causal)
     row, widths, qi_all, ki_all, full = _fold_schedule(lo, hi, mesh)
     cap, steps = _slab_cap(qc, kc, d), widths.tolist()
-    lo, hi = lo.reshape(n_q, qc, 1), hi.reshape(n_q, qc, 1)  # by query chunk, for the partial-block mask
+    lo, hi = lo.reshape(n_q, qc, 1), hi.reshape(n_q, qc, 1)  # by query chunk, for the mask
 
     q, key, v = p.q.reshape(n_q, qc, d), p.k.reshape(n_kv, kc, d), p.v.reshape(n_kv, kc, d)
     m, state = np.full((n_q, qc), -np.inf), np.zeros((n_q, qc, d + 1))  # state: acc | l
@@ -476,13 +478,10 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
             qi, ki = qi_all[blocks], ki_all[blocks]
             scores = _rows(q, qi) @ _rows(key, ki).transpose(0, 2, 1)
             scores *= p.scale
-            partial = np.flatnonzero(~full[blocks])  # a full block's mask would keep every score
-            if partial.size:
-                qp = qi[partial]
-                keys = (ki[partial] * kc)[:, None, None] + np.arange(kc, dtype=np.int32)
-                illegal = np.zeros(scores.shape, bool)
-                illegal[partial] = (keys < lo.take(qp, axis=0)) | (keys > hi.take(qp, axis=0))
-                np.copyto(scores, -np.inf, where=illegal)
+            if not full[blocks].all():  # a full block's mask would keep every score
+                keys = (ki * kc)[:, None, None] + np.arange(kc, dtype=np.int32)
+                np.copyto(scores, -np.inf, where=keys < lo.take(qi, axis=0))
+                np.copyto(scores, -np.inf, where=keys > hi.take(qi, axis=0))
             # Running max of each state row over its steps, seeded with its carried max:
             # a (step x state row) grid, -inf where a row has stopped folding.
             grid = np.full((len(ns) + 1, w, qc), -np.inf)
@@ -503,11 +502,7 @@ def ring_attention(p: AttentionProblem, mesh: RingMesh) -> tuple[np.ndarray, Rin
             alpha = np.exp(before[cells] - shift)[..., None]
             e = scores
             e -= shift[..., None]
-            if partial.size:  # numpy's exp is slow at -inf, so masked scores take exp(0) and are zeroed after
-                np.copyto(e, 0.0, where=illegal)
-            np.exp(e, out=e)
-            if partial.size:
-                np.copyto(e, 0.0, where=illegal)
+            np.exp(e, out=e)  # a masked score takes exp(-inf - shift), exactly 0.0
             terms = np.empty((qi.size, qc, d + 1))
             np.matmul(e, _rows(v, ki), out=terms[..., :d])
             terms[..., d] = e.sum(axis=2)
